@@ -20,8 +20,8 @@ from .graph import (
     degree_profile,
     is_connected,
     is_cubic,
-    parse_graph6,
     read_adjacency_file,
+    read_graph6_lines,
     vertex_connectivity_capped,
 )
 from .hamsearch import SearchBudget, Status, UNLIMITED, has_ham_path, has_ham_path_from
@@ -174,23 +174,20 @@ def census_graph(g: Graph, budget: SearchBudget = UNLIMITED) -> tuple[str, int]:
 
 
 def nontraceable_census(
-    sources: Iterable[bytes | str], budget: SearchBudget = UNLIMITED
+    sources: Iterable[bytes | str], budget: SearchBudget = UNLIMITED,
+    start: int = 1,
 ) -> tuple[list[CensusRecord], list[str]]:
     """Count non-traceable cubic graphs by order and connectivity class.
 
-    ``sources`` is an iterable of graph6 lines.  Non-cubic and malformed
-    entries produce per-line diagnostics instead of aborting the stream.
+    ``sources`` is an iterable of graph6 lines, the first of which is line
+    ``start`` of its stream.  Non-cubic and malformed entries produce
+    per-line diagnostics instead of aborting the stream.
     """
     records: dict[int, CensusRecord] = {}
     diagnostics: list[str] = []
-    for lineno, line in enumerate(sources, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            g = parse_graph6(stripped)
-        except Graph6Error as exc:
-            diagnostics.append(f"line {lineno}: unparsable graph6: {exc}")
+    for lineno, g in read_graph6_lines(sources, start):
+        if isinstance(g, Graph6Error):
+            diagnostics.append(f"line {lineno}: unparsable graph6: {g}")
             continue
         if not is_cubic(g):
             diagnostics.append(f"line {lineno}: not cubic, skipped")
@@ -227,10 +224,10 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
     """Re-verify every embedded fixture and the construction match.
 
     Checks, per census fixture: order, connectivity class, exhaustive
-    non-traceability, and minimum leaf number 3.  The 28-vertex
-    connectivity-3 graph must equal the vertex-substitution construction
-    on K4 up to isomorphism, and each fixture family must be pairwise
-    non-isomorphic.  The 18-vertex graphs must pass the lemma hypotheses
+    non-traceability, and minimum leaf number 3; the last two come from one
+    ml ladder.  The 28-vertex connectivity-3 graph must equal the
+    vertex-substitution construction on K4 up to isomorphism, and each
+    fixture family must be pairwise non-isomorphic.  The 18-vertex graphs must pass the lemma hypotheses
     yet admit no hamiltonian path from any degree-2 vertex.
     """
     from .constructions import complete_graph, substitute_p_star
@@ -243,10 +240,14 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
         checks.append(Check(
             f.id, "connectivity", f.connectivity,
             vertex_connectivity_capped(f.graph, 3)))
-        r = has_ham_path(f.graph, budget)
-        checks.append(Check(f.id, "traceable", f.traceable, r.is_yes
-                            if r.status is not Status.INDETERMINATE else None))
+        # The ladder's first rung, k = 2, is the exhaustive traceability
+        # decision, so the ml result answers the traceable check too.
         ml = min_leaf_number(f.graph, budget)
+        if ml.status is Status.YES:
+            traceable = ml.value <= 2
+        else:
+            traceable = False if ml.lower_bound > 2 else None
+        checks.append(Check(f.id, "traceable", f.traceable, traceable))
         checks.append(Check(f.id, "ml", f.ml, ml.value))
 
     g28 = substitute_p_star(complete_graph(4), [0, 1, 2])

@@ -45,7 +45,7 @@ from .graph import (
     Graph,
     Graph6Error,
     GraphError,
-    parse_graph6,
+    read_graph6_lines,
     vertex_connectivity_capped,
     write_graph6,
 )
@@ -64,25 +64,13 @@ def _open_stream(source: str) -> TextIO:
     return sys.stdin if source == "-" else open(source, "r", encoding="ascii")
 
 
-def _read_graphs(stream: TextIO) -> Iterator[tuple[int, Graph | None, str | None]]:
-    """Yield (line number, graph, parse error) for each non-blank line."""
-    for lineno, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            yield lineno, parse_graph6(stripped), None
-        except Graph6Error as exc:
-            yield lineno, None, str(exc)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     budget = _budget(args.max_nodes)
     status = 0
     with _open_stream(args.input) as stream:
-        for lineno, g, err in _read_graphs(stream):
-            if g is None:
-                print(f"line {lineno}: {err}", file=sys.stderr)
+        for lineno, g in read_graph6_lines(stream):
+            if isinstance(g, Graph6Error):
+                print(f"line {lineno}: {g}", file=sys.stderr)
                 status = 1
                 continue
             record: dict[str, object] = {"id": lineno, "n": g.n}
@@ -110,10 +98,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return status
 
 
-def _census_shard(lines: list[str], budget: SearchBudget):
-    return nontraceable_census(lines, budget)
-
-
 def _cmd_census(args: argparse.Namespace) -> int:
     budget = _budget(args.max_nodes)
     with _open_stream(args.input) as stream:
@@ -123,12 +107,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         size = max(1, -(-len(lines) // args.jobs))
-        shards = [lines[i:i + size] for i in range(0, len(lines), size)]
+        offsets = range(0, len(lines), size)
+        shards = [lines[i:i + size] for i in offsets]
         merged: dict[int, object] = {}
         diagnostics: list[str] = []
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for recs, diags in pool.map(
-                    _census_shard, shards, [budget] * len(shards)):
+                    nontraceable_census, shards, [budget] * len(shards),
+                    [i + 1 for i in offsets]):
                 diagnostics.extend(diags)
                 for rec in recs:
                     if rec.n in merged:
@@ -169,9 +155,9 @@ def _cmd_lemma_short(args: argparse.Namespace) -> int:
         with _open_stream(args.input) as stream:
             parsed: list[Graph] = []
             status = 0
-            for lineno, g, err in _read_graphs(stream):
-                if g is None:
-                    print(f"line {lineno}: {err}", file=sys.stderr)
+            for lineno, g in read_graph6_lines(stream):
+                if isinstance(g, Graph6Error):
+                    print(f"line {lineno}: {g}", file=sys.stderr)
                     status = 1
                 else:
                     parsed.append(g)

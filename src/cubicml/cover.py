@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, GraphError, induced_subgraph, is_connected
+from .graph import Graph, GraphError, induced_subgraph, is_connected, require_witness
 from .exact import SpanningTree, has_path_cover_le_k
 from .hamsearch import SearchBudget, Status, UNLIMITED, has_ham_path_from
 
@@ -112,7 +112,7 @@ def initial_vdp_cover(g: Graph, short_threshold: int = SHORT_THRESHOLD) -> VdpCo
                     path.append(v)
         paths.append(tuple(path))
     cover = VdpCover(tuple(paths), short_threshold)
-    assert cover.validate(g)
+    require_witness(cover.validate(g), "initial path cover")
     return cover
 
 
@@ -187,7 +187,7 @@ def optimize_cover(g: Graph, c: VdpCover,
         if _exchange_once(g, paths):
             changed = True
     out = VdpCover(tuple(paths), c.short_threshold)
-    assert out.validate(g)
+    require_witness(out.validate(g), "optimized path cover")
     return out
 
 
@@ -335,7 +335,7 @@ def cover_to_tree(g: Graph, c: VdpCover,
         roots = {find(v) for v in range(n)}
 
     tree = SpanningTree.from_edges(n, edges)
-    assert tree.validate(g)
+    require_witness(tree.validate(g), "cover spanning tree")
     s, ell = c.short_count, c.long_count
     bound = s + 2 * ell
     frac = Fraction(13 * n, 85)

@@ -19,7 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .graph import Graph, GraphError, bits, connected_components, is_connected
+from .graph import (
+    Graph,
+    GraphError,
+    bits,
+    connected_components,
+    is_connected,
+    require_witness,
+    spread,
+)
 from .hamsearch import (
     SearchBudget,
     Status,
@@ -260,17 +268,6 @@ def _tree_search_le_k(g: Graph, k: int,
             cnt += 1
         return cnt
 
-    def reachable(in_tree: int) -> bool:
-        comp = in_tree
-        frontier = in_tree
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= radj[v]
-            frontier = grow & ~comp
-            comp |= frontier
-        return comp == full
-
     def extend(in_tree: int) -> bool:
         nonlocal nodes, exhausted
         nodes += 1
@@ -285,7 +282,7 @@ def _tree_search_le_k(g: Graph, k: int,
             return False
         if committed_leaves(in_tree) > k:
             return False
-        if not reachable(in_tree):
+        if spread(radj, in_tree, full) != full:
             return False
         cand = 0
         for u in reversed(added):
@@ -419,7 +416,8 @@ def min_leaf_number(g: Graph, budget: SearchBudget = UNLIMITED) -> MlResult:
     for k in range(2, g.n):
         status, tree = has_tree_le_k_leaves(g, k, budget)
         if status is Status.YES:
-            assert tree is not None and tree.validate(g)
+            assert tree is not None
+            require_witness(tree.validate(g), "spanning tree")
             return MlResult(Status.YES, tree.leaf_count, tree)
         if status is Status.INDETERMINATE:
             return MlResult(Status.INDETERMINATE, lower_bound=k)
@@ -457,8 +455,9 @@ def _cover_from_cycle(g: Graph, cycle: tuple[int, ...],
             cur.append(v)
     if cur:
         paths.append(tuple(cur))
-    assert len(paths) <= k
-    assert sorted(v for p in paths for v in p) == list(range(n))
+    require_witness(
+        len(paths) <= k and sorted(v for p in paths for v in p) == list(range(n)),
+        "path cover")
     return tuple(paths)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -24,6 +24,16 @@ class Graph6Error(GraphError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+class WitnessError(RuntimeError):
+    """A computed witness failed its re-validation: a bug, never bad input."""
+
+
+def require_witness(ok: bool, what: str) -> None:
+    """Raise ``WitnessError`` unless ``ok``; unlike ``assert``, kept by -O."""
+    if not ok:
+        raise WitnessError(f"invalid witness: {what}")
 
 
 GRAPH6_HEADER = b">>graph6<<"
@@ -97,11 +107,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _spread(g: Graph, seed: int, allowed: int) -> int:
-    """Bitmask of the vertices reachable from ``seed`` inside ``allowed``."""
+def spread(adj: Sequence[int], seed: int, allowed: int) -> int:
+    """Bitmask of the vertices reachable from ``seed`` inside ``allowed``.
+
+    ``seed`` is a mask and may hold several vertices.  ``adj`` is any
+    sequence of neighbourhood masks: a graph's ``adj`` tuple, or a search's
+    live adjacency list with some edges removed.
+    """
     comp = seed & allowed
     frontier = comp
-    adj = g.adj
     while frontier:
         grow = 0
         for v in bits(frontier):
@@ -114,7 +128,7 @@ def _spread(g: Graph, seed: int, allowed: int) -> int:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
-    return _spread(g, 1, g.full_mask()) == g.full_mask()
+    return spread(g.adj, 1, g.full_mask()) == g.full_mask()
 
 
 def connected_components(g: Graph, allowed: int | None = None) -> list[int]:
@@ -123,7 +137,7 @@ def connected_components(g: Graph, allowed: int | None = None) -> list[int]:
     comps = []
     while remaining:
         seed = remaining & -remaining
-        comp = _spread(g, seed, remaining)
+        comp = spread(g.adj, seed, remaining)
         comps.append(comp)
         remaining &= ~comp
     return comps
@@ -191,7 +205,7 @@ def vertex_connectivity_capped(g: Graph, cap: int) -> int:
         for cut in combinations(range(g.n), k):
             remaining = full & ~mask_of(cut)
             seed = remaining & -remaining
-            if _spread(g, seed, remaining) != remaining:
+            if spread(g.adj, seed, remaining) != remaining:
                 return k
     return cap
 
@@ -218,18 +232,20 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 
 def read_adjacency_file(path) -> Graph:
     """Load the plain-text adjacency format: header "n m", then "u v" lines."""
+    def pair(line: str, lineno: int) -> tuple[int, int]:
+        tokens = line.split()
+        try:
+            if len(tokens) == 2:
+                return int(tokens[0]), int(tokens[1])
+        except ValueError:
+            pass
+        raise GraphError(f"{path}: line {lineno}: expected two integers, "
+                         f"got {line.strip()!r}")
+
     with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise GraphError(f"{path}: malformed header line")
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = map(int, line.split())
-            edges.append((u, v))
+        n, m = pair(f.readline(), 1)
+        edges = [pair(line, lineno)
+                 for lineno, line in enumerate(f, start=2) if line.strip()]
     if len(edges) != m:
         raise GraphError(f"{path}: header says {m} edges, file has {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -327,9 +343,20 @@ def write_graph6(g: Graph) -> bytes:
     return bytes(out)
 
 
-def read_graph6_lines(lines: Iterable[bytes | str]) -> Iterator[Graph]:
-    """Parse a stream of graph6 lines, skipping blank lines."""
-    for line in lines:
-        stripped = line.strip() if isinstance(line, str) else line.strip()
-        if stripped:
-            yield parse_graph6(stripped)
+def read_graph6_lines(lines: Iterable[bytes | str], start: int = 1
+                      ) -> Iterator[tuple[int, Graph | Graph6Error]]:
+    """Parse a stream of graph6 lines into (line number, graph) records.
+
+    Blank lines yield nothing but are counted: the first line is number
+    ``start``.  A malformed line yields its ``Graph6Error`` in place of the
+    graph, so one bad line never ends the stream.
+    """
+    for lineno, line in enumerate(lines, start):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            item: Graph | Graph6Error = parse_graph6(stripped)
+        except Graph6Error as exc:
+            item = exc
+        yield lineno, item

@@ -18,7 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, GraphError, bits, is_connected
+from .graph import (
+    Graph,
+    GraphError,
+    bits,
+    connected_components,
+    is_connected,
+    require_witness,
+    spread,
+)
 
 
 class Status(Enum):
@@ -75,19 +83,6 @@ class _Engine:
         self.nodes = 0
         self.path: list[int] = []
 
-    def _connected(self, region: int) -> bool:
-        seed = region & -region
-        comp = seed
-        frontier = seed
-        adj = self.adj
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
-            frontier = grow & region & ~comp
-            comp |= frontier
-        return comp == region
-
     def run(self, start: int, end: int | None, end_mask: int | None,
             min_final: int = 0) -> tuple[int, ...] | None:
         """Search a hamiltonian path from ``start``.
@@ -125,7 +120,7 @@ class _Engine:
             if ok:
                 self.path.append(v)
             return ok
-        if not self._connected(rest):
+        if spread(adj, rest & -rest, rest) != rest:
             return False
         if end_mask is not None and rest & end_mask == 0:
             return False
@@ -176,7 +171,7 @@ class _Engine:
 def _result(g: Graph, engine: _Engine, path: tuple[int, ...] | None) -> SearchResult:
     if path is None:
         return SearchResult(Status.NO, nodes=engine.nodes)
-    assert check_path_witness(g, path)
+    require_witness(check_path_witness(g, path), "hamiltonian path")
     return SearchResult(Status.YES, path, engine.nodes)
 
 
@@ -256,7 +251,9 @@ def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
             engine.path = [0, s]
             if engine._extend(s, (1 << 0) | (1 << s), None, end_mask, 0):
                 path = tuple(engine.path)
-                assert check_path_witness(g, path) and g.has_edge(path[-1], 0)
+                require_witness(
+                    check_path_witness(g, path) and g.has_edge(path[-1], 0),
+                    "hamiltonian cycle")
                 return SearchResult(Status.YES, path, engine.nodes)
         return SearchResult(Status.NO, nodes=engine.nodes)
     except _BudgetExhausted:
@@ -308,22 +305,8 @@ def has_spanning_two_paths(g: Graph, p1: tuple[int, int], p2: tuple[int, int],
             return False
         rest = full & ~visited
         # both remaining path pieces are connected, so <= 2 residual parts
-        comps = 0
-        region = rest
-        while region:
-            seed = region & -region
-            comp = seed
-            frontier = seed
-            while frontier:
-                grow = 0
-                for v in bits(frontier):
-                    grow |= adj[v]
-                frontier = grow & region & ~comp
-                comp |= frontier
-            comps += 1
-            if comps > 2:
-                return False
-            region &= ~comp
+        if len(connected_components(g, rest)) > 2:
+            return False
         for v in bits(adj[cur] & rest):
             if v in (c, d):
                 continue
@@ -356,10 +339,6 @@ class JcellReport:
     failing_condition: str | None = None
 
 
-def _good_pair(g: Graph, u: int, v: int, budget: SearchBudget) -> SearchResult:
-    return has_ham_path_between(g, u, v, budget)
-
-
 def is_jcell(h: Graph, a: int, b: int, c: int, d: int,
              budget: SearchBudget = UNLIMITED) -> JcellReport:
     """Hsu-Lin terminal-quadruple recognition.
@@ -376,13 +355,13 @@ def is_jcell(h: Graph, a: int, b: int, c: int, d: int,
     names = {"a": a, "b": b, "c": c, "d": d}
 
     for u, v in ((a, d), (b, c)):
-        r = _good_pair(h, u, v, budget)
+        r = has_ham_path_between(h, u, v, budget)
         if r.status is Status.INDETERMINATE:
             return JcellReport(False, "indeterminate")
         if not r.is_yes:
             return JcellReport(False, f"condition 1: pair ({u},{v}) not good")
     for x, y in _JCELL_SINGLE:
-        r = _good_pair(h, names[x], names[y], budget)
+        r = has_ham_path_between(h, names[x], names[y], budget)
         if r.status is Status.INDETERMINATE:
             return JcellReport(False, "indeterminate")
         if r.is_yes:
@@ -406,7 +385,7 @@ def is_jcell(h: Graph, a: int, b: int, c: int, d: int,
             u1, u2 = names[x], names[y]
             if u1 == v or u2 == v:
                 continue
-            r = _good_pair(sub, back[u1], back[u2], budget)
+            r = has_ham_path_between(sub, back[u1], back[u2], budget)
             if r.status is Status.INDETERMINATE:
                 return JcellReport(False, "indeterminate")
             if r.is_yes:

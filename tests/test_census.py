@@ -144,3 +144,11 @@ def test_verify_paper_artifacts_all_green():
     failures = [c for c in checks if not c.ok]
     assert failures == []
     assert len(checks) > 90
+
+
+def test_verify_paper_artifacts_budget_cut_is_indeterminate():
+    # a cut search proves nothing: the ladder must report None, never False
+    checks = verify_paper_artifacts(SearchBudget(max_nodes=5))
+    cut = [c for c in checks if c.name in ("traceable", "ml")]
+    assert len(cut) == 2 * 19
+    assert all(c.actual is None for c in cut)

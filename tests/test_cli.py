@@ -52,6 +52,17 @@ def test_census_roundtrip(tmp_path, capsys):
                    "indeterminate": 0}
 
 
+def test_census_jobs_reports_stream_line_numbers(tmp_path, capsys):
+    # the malformed line 4 lands in the second of two shards
+    f = tmp_path / "bad.g6"
+    f.write_text("C~\nC~\nC~\n\x01bad\n")
+    for argv in (["census", str(f)], ["census", str(f), "--jobs", "2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert err.startswith("line 4: unparsable graph6")
+        assert json.loads(out.strip())["total"] == 3
+
+
 def test_lemma_short_scan_small(capsys):
     code, out, err = run(capsys, ["lemma-short", "--nmax", "6"])
     assert code == 0

@@ -133,6 +133,10 @@ def test_read_adjacency_file(tmp_path):
     f.write_text("3 5\n0 1\n")
     with pytest.raises(GraphError):
         read_adjacency_file(f)
+    for bad in ("3 2\n0 1\n0 x\n", "3 2\n0 1\n1 2 0\n"):
+        f.write_text(bad)
+        with pytest.raises(GraphError, match="line 3"):
+            read_adjacency_file(f)
 
 
 def test_graph6_known_values():
@@ -172,9 +176,12 @@ def test_graph6_rejects_malformed():
 
 
 def test_read_graph6_lines_skips_blanks():
-    lines = ["C~", "", "  ", "D~{"]
-    graphs = list(read_graph6_lines(lines))
-    assert [g.n for g in graphs] == [4, 5]
+    lines = ["C~", "", "  ", b"D~{\n", "\x01bad", b"C~"]
+    records = list(read_graph6_lines(lines))
+    assert [lineno for lineno, _ in records] == [1, 4, 5, 6]
+    assert [records[i][1].n for i in (0, 1, 3)] == [4, 5, 4]
+    assert isinstance(records[2][1], Graph6Error)
+    assert [ln for ln, _ in read_graph6_lines(lines, start=11)] == [11, 14, 15, 16]
 
 
 @settings(max_examples=60, deadline=None)

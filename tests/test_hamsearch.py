@@ -1,10 +1,14 @@
 """Hamiltonian path/cycle search, two-path spanning queries, terminal quadruples."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
 
+import cubicml
 from cubicml.graph import Graph, GraphError
 from cubicml.hamsearch import (
     SearchBudget,
@@ -185,3 +189,27 @@ def test_quadruple_conditions_reject_plain_cycle():
     report = is_jcell(cycle(8), 0, 1, 2, 3)
     assert not report.is_jcell
     assert report.failing_condition is not None
+
+
+_BROKEN_WITNESS_CHECK = """
+import cubicml.hamsearch as hs
+from cubicml.graph import Graph, WitnessError
+if __debug__:
+    raise SystemExit("not running under -O")
+hs.check_path_witness = lambda g, path: False
+try:
+    hs.has_ham_path(Graph.from_edges(3, [(0, 1), (1, 2)]))
+except WitnessError:
+    raise SystemExit(0)
+raise SystemExit("invalid witness returned")
+"""
+
+
+def test_witness_check_survives_optimize_flag():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cubicml.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_WITNESS_CHECK],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
