@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 from .census import (
     lemma_short_scan,
@@ -60,8 +60,13 @@ def _budget(max_nodes: int | None) -> SearchBudget:
     return UNLIMITED if max_nodes is None else SearchBudget(max_nodes)
 
 
-def _open_stream(source: str) -> TextIO:
-    return sys.stdin if source == "-" else open(source, "r", encoding="ascii")
+def _open_stream(source: str) -> BinaryIO | TextIO:
+    """The graph6 stream as bytes, so that a non-ASCII byte reaches the
+    parser as one malformed line; a stdin without a byte layer (an
+    ``io.StringIO``) is read as text."""
+    if source == "-":
+        return getattr(sys.stdin, "buffer", sys.stdin)
+    return open(source, "rb")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -307,16 +307,17 @@ def cover_to_tree(g: Graph, c: VdpCover,
             except NoAttachmentError:
                 failures += 1
                 continue
-        old = set(zip(c.paths[j], c.paths[j][1:]))
+        old = {frozenset(e) for e in zip(c.paths[j], c.paths[j][1:])}
         new = list(zip(plan.path, plan.path[1:]))
-        if {frozenset(e) for e in old} != {frozenset(e) for e in new}:
-            keep = {frozenset(e) for e in new}
+        keep = {frozenset(e) for e in new}
+        if old != keep:
             own = set(c.paths[j])
             edges = [
                 e for e in edges
                 if not (e[0] in own and e[1] in own) or frozenset(e) in keep
             ]
-            edges.extend(new)
+            # edges the reroute shares with the old path are already kept
+            edges.extend(e for e in new if frozenset(e) not in old)
         edges.append(plan.anchor)
         union(*plan.anchor)
 

@@ -8,7 +8,6 @@ hot loops (intersection, popcount, component spreading) cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -184,11 +183,52 @@ def _is_complete(g: Graph) -> bool:
     return all(g.adj[v] == g.full_mask() ^ (1 << v) for v in range(g.n))
 
 
+def _has_cut_vertex(adj: Sequence[int], allowed: int) -> bool:
+    """True iff the connected graph induced on ``allowed`` has a cut vertex.
+
+    One iterative depth-first search with low points (Hopcroft-Tarjan), so
+    deep graphs need no recursion.  The edge back to a vertex's parent may
+    count towards its low point: it can lower it only to the parent's
+    discovery time, which still passes the ``>=`` test below.
+    """
+    root = (allowed & -allowed).bit_length() - 1
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    disc[root] = 0
+    count = 1
+    stack = [(root, adj[root] & allowed)]
+    root_children = 0
+    while stack:
+        v, todo = stack[-1]
+        if todo:
+            b = todo & -todo
+            stack[-1] = (v, todo ^ b)
+            w = b.bit_length() - 1
+            if disc[w] < 0:
+                disc[w] = low[w] = count
+                count += 1
+                stack.append((w, adj[w] & allowed))
+            elif disc[w] < low[v]:
+                low[v] = disc[w]
+            continue
+        stack.pop()
+        if not stack:
+            break
+        p = stack[-1][0]
+        if p == root:
+            root_children += 1
+        elif low[v] >= disc[p]:
+            return True
+        if low[v] < low[p]:
+            low[p] = low[v]
+    return root_children > 1
+
+
 def vertex_connectivity_capped(g: Graph, cap: int) -> int:
     """min(vertex connectivity, cap) for cap in {1, 2, 3}; disconnected -> 0.
 
-    Deletion sets are enumerated directly: all workloads here are small
-    graphs and tiny caps, where this beats setting up max-flow instances.
+    A cut vertex is found by one depth-first search; a separating pair
+    {u, w} as a cut vertex w of G - u, one search per u.
     """
     if cap not in (1, 2, 3):
         raise GraphError(f"cap must be 1, 2 or 3, got {cap}")
@@ -199,14 +239,11 @@ def vertex_connectivity_capped(g: Graph, cap: int) -> int:
     if _is_complete(g):
         return min(g.n - 1, cap)
     full = g.full_mask()
-    for k in range(1, cap):
-        if g.n - k < 2:
-            break
-        for cut in combinations(range(g.n), k):
-            remaining = full & ~mask_of(cut)
-            seed = remaining & -remaining
-            if spread(g.adj, seed, remaining) != remaining:
-                return k
+    if cap > 1 and _has_cut_vertex(g.adj, full):
+        return 1
+    if cap > 2 and any(_has_cut_vertex(g.adj, full & ~(1 << u))
+                       for u in range(g.n)):
+        return 2
     return cap
 
 
@@ -278,10 +315,13 @@ def _g6_n_and_body(data: bytes) -> tuple[int, bytes, int]:
 
 def parse_graph6(text: bytes | str) -> Graph:
     """Parse a single graph6 line (optional '>>graph6<<' header tolerated)."""
-    data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
     data = data.strip()
     if data.startswith(GRAPH6_HEADER):
         data = data[len(GRAPH6_HEADER):]
+    if not data.isascii():
+        i = next(i for i, byte in enumerate(data) if byte > 127)
+        raise Graph6Error(f"non-ASCII byte 0x{data[i]:02x}", i)
     n, body, base = _g6_n_and_body(data)
     if n > GRAPH6_MAX_N:
         raise Graph6Error(f"order {n} exceeds supported graph6 range", 0)

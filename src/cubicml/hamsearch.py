@@ -5,18 +5,31 @@ start, fixed endpoint pair, cycle closure, and the spanning-two-paths test
 used by the J-cell recognizer.  Verdicts are exact; a node budget can cut a
 search short, in which case the result is indeterminate rather than wrong.
 
-Pruning at every node:
+Pruning at every node (Rubin, JACM 1974; Vandegriend & Culberson, JAIR
+1998):
   * the unvisited vertices must induce a connected graph;
   * unvisited vertices with residual degree <= 1 must be endpoints of the
     remaining path, so more than two of them (or an infeasible assignment
     of first/last roles) kills the branch;
-  * neighbours are tried in ascending residual degree.
+  * children are tried in order of (residual degree, vertex).
+
+Each node does only local work, so its cost does not grow with n.  The
+mask of residual-degree-<=1 vertices is passed down the search: degrees
+only fall, and only at the neighbours of the vertex just added, so a child
+refreshes the mask there.  The parent has already shown that the rest plus
+the current vertex is connected, so the rest is connected iff the current
+vertex's neighbours in it share a component; a spread from one of them
+stops once it has reached the others, and is skipped when there is at most
+one.  Only the root of a search (whose rest may be disconnected) spreads
+over the whole rest.  The search runs on an explicit stack, so path length
+is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .graph import (
     Graph,
@@ -24,6 +37,7 @@ from .graph import (
     bits,
     connected_components,
     is_connected,
+    mask_of,
     require_witness,
     spread,
 )
@@ -77,7 +91,6 @@ def check_path_witness(g: Graph, path: tuple[int, ...]) -> bool:
 class _Engine:
     def __init__(self, g: Graph, budget: SearchBudget):
         self.adj = g.adj
-        self.n = g.n
         self.full = g.full_mask()
         self.max_nodes = budget.max_nodes
         self.nodes = 0
@@ -92,80 +105,131 @@ class _Engine:
         ``min_final``: free-end symmetry breaking, final index must be >= it.
         """
         self.path = [start]
-        if self.n == 1:
-            return (start,) if end is None or end == start else None
-        visited = 1 << start
-        if self._extend(start, visited, end, end_mask, min_final):
+        if self.search(end, end_mask, min_final):
             return tuple(self.path)
         return None
 
-    def _extend(self, cur: int, visited: int, end: int | None,
-                end_mask: int | None, min_final: int) -> bool:
+    def search(self, end: int | None, end_mask: int | None,
+               min_final: int) -> bool:
+        """Extend ``self.path`` to a hamiltonian path of ``full``.
+
+        The path's vertices count as visited and its last vertex is where
+        the search stands; on success ``self.path`` holds the witness.  The
+        root node proves its unvisited rest connected by a full spread and
+        scans it for low-degree vertices; every deeper node only looks
+        around the vertex just added (see the module docstring).
+        """
         adj = self.adj
-        rest = self.full & ~visited
+        path = self.path
+        max_nodes = self.max_nodes
+        nodes = self.nodes
+        rest = self.full & ~mask_of(path)
         if rest == 0:
             return True
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _BudgetExhausted
-        if rest == rest & -rest:  # single vertex left
-            v = rest.bit_length() - 1
-            ok = bool(adj[cur] >> v & 1)
-            if end is not None:
-                ok = ok and v == end
-            elif end_mask is not None:
-                ok = ok and bool(end_mask >> v & 1)
+        endbit = 0 if end is None else 1 << end
+        adj_end = 0 if end is None else adj[end]
+        # the final vertex must lie in last_ok; the rest must meet must_meet
+        if end is not None:
+            last_ok = endbit
+        elif end_mask is not None:
+            last_ok = end_mask
+        else:
+            last_ok = -1 << min_final
+        must_meet = -1 if end_mask is None else end_mask
+        low = 0  # unvisited vertices with residual degree <= 1
+        m = rest
+        while m:
+            b = m & -m
+            if (adj[b.bit_length() - 1] & rest).bit_count() <= 1:
+                low |= b
+            m ^= b
+        cur = path[-1]
+        root = True
+        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
+        while True:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                self.nodes = nodes
+                raise _BudgetExhausted
+            cur_adj = adj[cur]
+            nb = cur_adj & rest
+            kids: list[tuple[int, int]] = []
+            if not rest & (rest - 1):  # single vertex left
+                if nb & last_ok:
+                    path.append(rest.bit_length() - 1)
+                    self.nodes = nodes
+                    return True
+            elif rest & must_meet:
+                # Residual degrees fall only around cur: refresh low there
+                # and keep each neighbour's degree to order the children.
+                m = nb
+                while m:
+                    b = m & -m
+                    u = b.bit_length() - 1
+                    d = (adj[u] & rest).bit_count()
+                    if d <= 1:
+                        low |= b
+                    kids.append((d, u))
+                    m ^= b
+                # Low vertices must end the rest of the path: at most two,
+                # one of them able to come first (next to cur) and the
+                # other last.
+                if low:
+                    first = cur_adj & ~endbit
+                    a = low & -low
+                    z = low ^ a
+                    if z:
+                        if z & (z - 1) or not (a & first and z & last_ok
+                                               or z & first and a & last_ok):
+                            kids = []
+                    elif not a & (first | last_ok):
+                        kids = []
+                if (kids and end is not None and not adj_end & rest
+                        and rest != endbit and not cur_adj & endbit):
+                    kids = []
+                if kids and root:
+                    if spread(adj, rest & -rest, rest) != rest:
+                        kids = []
+                elif kids and nb & (nb - 1):
+                    # The parent proved rest + cur connected, so rest is
+                    # connected iff cur's neighbours in it share a component.
+                    comp = nb & -nb
+                    frontier = comp
+                    unseen = rest ^ comp
+                    while nb & unseen:
+                        grow = 0
+                        while frontier:
+                            b = frontier & -frontier
+                            grow |= adj[b.bit_length() - 1]
+                            frontier ^= b
+                        frontier = grow & unseen
+                        if not frontier:
+                            kids = []
+                            break
+                        unseen ^= frontier
+                if kids and end is not None and nb != endbit and nb & endbit:
+                    kids.remove(((adj_end & rest).bit_count(), end))
+                kids.sort()
+            root = False
+            if kids:
+                stack.append((rest, low, iter(kids)))
             else:
-                ok = ok and v >= min_final
-            if ok:
-                self.path.append(v)
-            return ok
-        if spread(adj, rest & -rest, rest) != rest:
-            return False
-        if end_mask is not None and rest & end_mask == 0:
-            return False
-        # Residual-degree screening: the rest of the path is a hamiltonian
-        # path of G[rest] whose first vertex neighbours cur and whose last
-        # vertex satisfies the end constraint.
-        low: list[int] = []
-        cur_adj = adj[cur]
-        for v in bits(rest):
-            d = (adj[v] & rest).bit_count()
-            if d <= 1:
-                low.append(v)
-                if len(low) > 2:
-                    return False
-        if low:
-            def may_first(v: int) -> bool:
-                return bool(cur_adj >> v & 1) and v != end
-            def may_last(v: int) -> bool:
-                if end is not None:
-                    return v == end
-                if end_mask is not None:
-                    return bool(end_mask >> v & 1)
-                return v >= min_final
-            if len(low) == 2:
-                a, b = low
-                if not ((may_first(a) and may_last(b))
-                        or (may_first(b) and may_last(a))):
-                    return False
+                path.pop()
+            while stack:
+                rest, low, it = stack[-1]
+                kid = next(it, None)
+                if kid is not None:
+                    break
+                stack.pop()
+                path.pop()
             else:
-                if not (may_first(low[0]) or may_last(low[0])):
-                    return False
-        if end is not None and (adj[end] & rest & ~(1 << end)) == 0 \
-                and rest != 1 << end and not (cur_adj >> end & 1):
-            return False
-        cands = cur_adj & rest
-        if end is not None and cands != 1 << end:
-            cands &= ~(1 << end)  # keep the target for last unless forced
-        ordered = sorted(bits(cands),
-                         key=lambda v: (adj[v] & rest).bit_count())
-        for v in ordered:
-            self.path.append(v)
-            if self._extend(v, visited | 1 << v, end, end_mask, min_final):
-                return True
-            self.path.pop()
-        return False
+                self.nodes = nodes
+                return False
+            cur = kid[1]
+            path.append(cur)
+            b = 1 << cur
+            rest ^= b
+            low &= ~b
 
 
 def _result(g: Graph, engine: _Engine, path: tuple[int, ...] | None) -> SearchResult:
@@ -249,7 +313,7 @@ def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
             if not end_mask:
                 break
             engine.path = [0, s]
-            if engine._extend(s, (1 << 0) | (1 << s), None, end_mask, 0):
+            if engine.search(None, end_mask, 0):
                 path = tuple(engine.path)
                 require_witness(
                     check_path_witness(g, path) and g.has_edge(path[-1], 0),

@@ -53,3 +53,10 @@ def random_cubic_graph(rng: random.Random, n: int, min_conn: int = 2) -> Graph:
             continue
         if vertex_connectivity_capped(g, min(min_conn, 3)) >= min_conn:
             return g
+
+
+def prism(k: int) -> Graph:
+    """Two k-cycles joined by a perfect matching: cubic, 2k vertices."""
+    return Graph.from_edges(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                            + [(k + i, k + (i + 1) % k) for i in range(k)]
+                            + [(i, k + i) for i in range(k)])

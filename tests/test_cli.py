@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour via main()."""
 
+import io
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cubicml.cli import main
 from cubicml.graph import is_cubic, parse_graph6, write_graph6
 from cubicml.constructions import complete_graph, jcell_ring
+from conftest import prism
 
 
 def run(capsys, argv):
@@ -38,6 +40,36 @@ def test_analyze_reports_parse_errors(tmp_path, capsys):
     assert code == 1
     assert "line 2" in err
     assert json.loads(out.strip())["n"] == 4
+
+
+def test_non_ascii_line_is_a_diagnostic(tmp_path, capsys):
+    f = tmp_path / "bad.g6"
+    f.write_bytes(b"C~\n\xc3\xa9\n")
+    code, out, err = run(capsys, ["analyze", str(f)])
+    assert code == 1
+    assert err.startswith("line 2: non-ASCII byte 0xc3 (byte offset 0)")
+    assert json.loads(out.strip())["n"] == 4
+    code, out, err = run(capsys, ["census", str(f)])
+    assert code == 0
+    assert err.startswith("line 2: unparsable graph6: non-ASCII")
+    assert json.loads(out.strip())["total"] == 1
+
+
+def test_census_reads_text_stdin(capsys, monkeypatch):
+    # a stdin without a byte layer, as in-process callers substitute it
+    monkeypatch.setattr("sys.stdin", io.StringIO("C~\nC~\n"))
+    code, out, err = run(capsys, ["census", "-"])
+    assert code == 0 and err == ""
+    assert json.loads(out.strip())["total"] == 2
+
+
+def test_analyze_long_prism(tmp_path, capsys):
+    path = write_stream(tmp_path, [prism(1000)])
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == 0 and err == ""
+    rec = json.loads(out.strip())
+    assert rec["n"] == 2000 and rec["connectivity"] == 3
+    assert rec["traceable"] is True
 
 
 def test_census_roundtrip(tmp_path, capsys):

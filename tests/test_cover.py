@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubicml.graph import Graph, is_cubic
+from cubicml.graph import Graph, is_cubic, parse_graph6
 from cubicml.cover import (
     SHORT_THRESHOLD,
     CoverError,
@@ -146,3 +146,13 @@ def test_procedure_requires_cubic_like_host():
     report = run_cover_procedure(g)
     assert report.tree.validate(g)
     assert not is_cubic(g)
+
+
+def test_reroute_keeping_old_edges_gives_a_tree():
+    # A relabeled cycle_of_edge_deleted_petersen(3): one reroute shares
+    # edges with the path it replaces, which were once added twice.
+    g = parse_graph6("]?_e???????EA?K?A???A?B?OO?G@`?@?BA?QO????O?C?`?C?A?A_"
+                     "?G_?????a@?I??a@??@?")
+    report = run_cover_procedure(g, exact_mu=2)
+    assert report.tree.validate(g)
+    assert report.certified and report.tree.leaf_count == 3

@@ -1,6 +1,7 @@
 """Graph core: construction, predicates, connectivity, graph6 round trips."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,21 @@ def test_vertex_connectivity_capped():
         vertex_connectivity_capped(k4(), 4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.floats(0.1, 0.9), st.randoms(use_true_random=False))
+def test_vertex_connectivity_matches_deletion_oracle(n, p, rng):
+    g = random_graph(rng, n, p)
+    # oracle: smallest k whose deletion disconnects g, capped; K_n gives n-1
+    oracle = min(n - 1, 3)
+    for k in range(0, min(n - 1, 3)):
+        if any(components_after_deletion(g, cut) > 1
+               for cut in combinations(range(n), k)):
+            oracle = k
+            break
+    for cap in (1, 2, 3):
+        assert vertex_connectivity_capped(g, cap) == min(oracle, cap)
+
+
 def test_induced_subgraph():
     sub, mapping = induced_subgraph(k4(), [1, 3])
     assert mapping == [1, 3]
@@ -173,6 +189,15 @@ def test_graph6_rejects_malformed():
         parse_graph6(b"~~AAAA")  # 8-byte order form
     with pytest.raises(Graph6Error):
         parse_graph6("B~")  # nonzero padding bits for n=3
+
+
+def test_graph6_rejects_non_ascii_with_offset():
+    for text in ("C\u00e9", "C\u00e9".encode("utf-8")):
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == 1 and "non-ASCII" in str(exc.value)
+    [(lineno, err)] = read_graph6_lines(["\u00e9"])
+    assert lineno == 1 and isinstance(err, Graph6Error) and err.offset == 0
 
 
 def test_read_graph6_lines_skips_blanks():

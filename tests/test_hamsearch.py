@@ -7,9 +7,12 @@ import sys
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubicml
-from cubicml.graph import Graph, GraphError
+from cubicml.census import load_fixtures
+from cubicml.graph import Graph, GraphError, parse_graph6
 from cubicml.hamsearch import (
     SearchBudget,
     Status,
@@ -22,7 +25,7 @@ from cubicml.hamsearch import (
     is_jcell,
 )
 from cubicml.constructions import named_graph
-from conftest import random_connected_graph
+from conftest import prism, random_connected_graph, relabel
 
 
 def cycle(n: int) -> Graph:
@@ -213,3 +216,93 @@ def test_witness_check_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_WITNESS_CHECK],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# The search tree is part of the contract: node counts and witnesses below
+# were recorded before the engine's per-node work was made local, and any
+# change to pruning or child order shows up here.
+_PINNED_32 = ("_I?G@C?_???_?@CQ?C@???C?G?Q???_@_C?g??_cC???E???`???AA?O?O??O"
+              "??C?A@?C?_A?????gG???R?")
+
+
+def test_search_tree_pinned_on_refutation():
+    g = next(f.graph for f in load_fixtures("nontraceable_30_conn3")
+             if f.id == "nontraceable_30_c3_01")
+    r = has_ham_path(g)
+    assert r.status is Status.NO and r.nodes == 98_600
+
+
+@pytest.mark.parametrize("query, nodes, witness", [
+    (lambda g: has_ham_path(g), 771,
+     (0, 9, 16, 20, 5, 11, 24, 27, 4, 17, 28, 10, 25, 31, 22, 6, 7, 13, 3,
+      1, 2, 15, 19, 14, 8, 23, 30, 29, 18, 21, 12, 26)),
+    (lambda g: has_ham_cycle(g), 521,
+     (0, 9, 16, 20, 5, 11, 24, 27, 4, 17, 28, 10, 25, 31, 22, 6, 7, 13, 3,
+      1, 2, 15, 19, 14, 8, 23, 30, 29, 18, 21, 12, 26)),
+    (lambda g: has_ham_path_between(g, 0, 31), 2329,
+     (0, 22, 6, 7, 13, 3, 19, 14, 20, 5, 4, 17, 15, 2, 1, 18, 21, 30, 29, 8,
+      23, 9, 16, 25, 10, 28, 27, 24, 11, 12, 26, 31)),
+    (lambda g: has_spanning_two_paths(g, (0, 31), (5, 20)), 14052,
+     (0, 22, 6, 7, 13, 3, 1, 2, 15, 19, 14, 8, 29, 18, 21, 30, 23, 9, 16, 25,
+      10, 28, 17, 4, 27, 24, 11, 12, 26, 31, 5, 20)),
+])
+def test_search_tree_pinned_on_yes(query, nodes, witness):
+    r = query(parse_graph6(_PINNED_32))
+    assert r.status is Status.YES
+    assert (r.nodes, r.witness) == (nodes, witness)
+
+
+@st.composite
+def small_graphs(draw, min_n: int = 1, max_n: int = 9) -> Graph:
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+_QUERIES = {
+    "path": has_ham_path,
+    "cycle": has_ham_cycle,
+    "from": lambda g, b: has_ham_path_from(g, 0, b),
+    "between": lambda g, b: has_ham_path_between(g, 0, g.n - 1, b),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_graphs(min_n=3), query=st.sampled_from(sorted(_QUERIES)),
+       budget=st.integers(0, 60), extra=st.integers(1, 1000))
+def test_budget_monotonicity(g, query, budget, extra):
+    run = _QUERIES[query]
+    r = run(g, SearchBudget(budget))
+    if r.status is Status.INDETERMINATE:
+        assert r.nodes == budget + 1
+        return
+    assert run(g, SearchBudget(budget + extra)) == r
+    assert run(g, SearchBudget()) == r
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=small_graphs())
+def test_verdict_and_witness_survive_relabeling(data, g):
+    perm = data.draw(st.permutations(range(g.n)))
+    h = relabel(g, perm)
+    for query in (has_ham_path, has_ham_cycle):
+        if query is has_ham_cycle and g.n < 3:
+            continue
+        before, after = query(g), query(h)
+        assert before.status is after.status
+        if after.is_yes:
+            w = after.witness
+            assert sorted(w) == list(range(h.n))
+            assert check_path_witness(h, w)
+            if query is has_ham_cycle:
+                assert h.has_edge(w[-1], w[0])
+
+
+def test_long_prism_needs_no_recursion():
+    g = prism(1000)
+    r = has_ham_path(g)
+    assert r.is_yes
+    assert sorted(r.witness) == list(range(g.n))
+    assert check_path_witness(g, r.witness)
