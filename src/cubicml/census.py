@@ -16,10 +16,13 @@ from typing import Iterable
 from .graph import (
     Graph,
     Graph6Error,
+    bits,
     connected_components,
+    cut_vertices,
     degree_profile,
     is_connected,
     is_cubic,
+    mask_of,
     read_adjacency_file,
     read_graph6_lines,
     vertex_connectivity_capped,
@@ -85,14 +88,9 @@ def lemma_short_hypotheses(g: Graph,
     if len(deg2) < 2:
         return False, "fewer than two degree-2 vertices"
     full = g.full_mask()
-    deg2_mask = 0
-    for v in deg2:
-        deg2_mask |= 1 << v
-    for v in range(g.n):
-        comps = connected_components(g, full & ~(1 << v))
-        if len(comps) < 2:
-            continue
-        for comp in comps:
+    deg2_mask = mask_of(deg2)
+    for v in bits(cut_vertices(g.adj, full)):
+        for comp in connected_components(g, full & ~(1 << v)):
             if comp & deg2_mask == 0:
                 return False, f"cut vertex {v}: a component has no degree-2 vertex"
     r = has_ham_path(g, budget)

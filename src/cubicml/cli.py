@@ -88,16 +88,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             timings["traceable"] = round(time.perf_counter() - t, 6)
             record["traceable"] = (
                 None if r.status is Status.INDETERMINATE else r.is_yes)
-            if args.ml:
+            for key, wanted, solve in (("ml", args.ml, min_leaf_number),
+                                       ("mu", args.mu, path_cover_number)):
+                if not wanted:
+                    continue
                 t = time.perf_counter()
-                ml = min_leaf_number(g, budget)
-                timings["ml"] = round(time.perf_counter() - t, 6)
-                record["ml"] = ml.value
-            if args.mu:
-                t = time.perf_counter()
-                mu = path_cover_number(g, budget)
-                timings["mu"] = round(time.perf_counter() - t, 6)
-                record["mu"] = mu.value
+                try:
+                    record[key] = solve(g, budget).value
+                except GraphError as exc:
+                    # e.g. ml of a disconnected graph, mu of the empty one
+                    print(f"line {lineno}: {exc}", file=sys.stderr)
+                    record[key] = None
+                    status = 1
+                timings[key] = round(time.perf_counter() - t, 6)
             record["timings"] = timings
             print(json.dumps(record), flush=True)
     return status

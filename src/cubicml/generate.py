@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable
 
-from .graph import Graph, GraphError, bits, vertex_connectivity_capped
+from .graph import Graph, GraphError, cut_vertices, vertex_connectivity_capped
 from .isomorphism import canonical_data, pair_seeds as _pair_seeds, \
     seeded_colors as _seeded_colors
 
@@ -34,40 +34,8 @@ GENERATOR_MAX_DEG23 = 13
 
 def _deletable(g: Graph) -> list[int]:
     """Vertices whose removal keeps the graph connected (non-cut vertices)."""
-    n = g.n
-    if n <= 2:
-        return list(range(n))
-    disc = [-1] * n
-    low = [0] * n
-    cut = [False] * n
-    stack: list[tuple[int, int, object]] = [(0, -1, iter(bits(g.adj[0])))]
-    disc[0] = low[0] = 0
-    timer = 1
-    root_children = 0
-    while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((w, v, iter(bits(g.adj[w]))))
-                advanced = True
-                break
-            elif w != parent and disc[w] < low[v]:
-                low[v] = disc[w]
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p != 0 and low[v] >= disc[p]:
-                    cut[p] = True
-    cut[0] = root_children > 1
-    return [v for v in range(n) if not cut[v]]
+    cuts = cut_vertices(g.adj, g.full_mask())
+    return [v for v in range(g.n) if not cuts >> v & 1]
 
 
 def _feasible(degs: tuple[int, ...], slots: int, min_final_deg: int) -> bool:

@@ -183,8 +183,9 @@ def _is_complete(g: Graph) -> bool:
     return all(g.adj[v] == g.full_mask() ^ (1 << v) for v in range(g.n))
 
 
-def _has_cut_vertex(adj: Sequence[int], allowed: int) -> bool:
-    """True iff the connected graph induced on ``allowed`` has a cut vertex.
+def cut_vertices(adj: Sequence[int], allowed: int) -> int:
+    """Mask of the cut vertices of the connected graph induced on the
+    non-empty vertex set ``allowed``.
 
     One iterative depth-first search with low points (Hopcroft-Tarjan), so
     deep graphs need no recursion.  The edge back to a vertex's parent may
@@ -198,6 +199,7 @@ def _has_cut_vertex(adj: Sequence[int], allowed: int) -> bool:
     count = 1
     stack = [(root, adj[root] & allowed)]
     root_children = 0
+    cuts = 0
     while stack:
         v, todo = stack[-1]
         if todo:
@@ -218,10 +220,12 @@ def _has_cut_vertex(adj: Sequence[int], allowed: int) -> bool:
         if p == root:
             root_children += 1
         elif low[v] >= disc[p]:
-            return True
+            cuts |= 1 << p
         if low[v] < low[p]:
             low[p] = low[v]
-    return root_children > 1
+    if root_children > 1:
+        cuts |= 1 << root
+    return cuts
 
 
 def vertex_connectivity_capped(g: Graph, cap: int) -> int:
@@ -239,9 +243,9 @@ def vertex_connectivity_capped(g: Graph, cap: int) -> int:
     if _is_complete(g):
         return min(g.n - 1, cap)
     full = g.full_mask()
-    if cap > 1 and _has_cut_vertex(g.adj, full):
+    if cap > 1 and cut_vertices(g.adj, full):
         return 1
-    if cap > 2 and any(_has_cut_vertex(g.adj, full & ~(1 << u))
+    if cap > 2 and any(cut_vertices(g.adj, full & ~(1 << u))
                        for u in range(g.n)):
         return 2
     return cap

@@ -1,9 +1,10 @@
 """Exact hamiltonian path/cycle queries with structural pruning.
 
 One backtracking engine serves every query flavour: free endpoints, fixed
-start, fixed endpoint pair, cycle closure, and the spanning-two-paths test
-used by the J-cell recognizer.  Verdicts are exact; a node budget can cut a
-search short, in which case the result is indeterminate rather than wrong.
+start, fixed endpoint pair and cycle closure.  The J-cell recognizer asks
+only fixed-pair queries, on H, on H minus a vertex, and on either plus one
+connector vertex.  Verdicts are exact; a node budget can cut a search
+short, in which case the result is indeterminate rather than wrong.
 
 Pruning at every node (Rubin, JACM 1974; Vandegriend & Culberson, JAIR
 1998):
@@ -35,7 +36,7 @@ from .graph import (
     Graph,
     GraphError,
     bits,
-    connected_components,
+    induced_subgraph,
     is_connected,
     mask_of,
     require_witness,
@@ -324,77 +325,9 @@ def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
         return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
 
 
-def has_spanning_two_paths(g: Graph, p1: tuple[int, int], p2: tuple[int, int],
-                           budget: SearchBudget = UNLIMITED) -> SearchResult:
-    """Two vertex-disjoint paths with the given endpoint pairs covering V(g).
-
-    The witness is the concatenation path1 + path2; a path may be a single
-    vertex only through graphs handed in by the J-cell condition-3 checks,
-    never via coinciding endpoints, which are rejected.
-    """
-    a, b = p1
-    c, d = p2
-    if len({a, b, c, d}) != 4:
-        raise GraphError("the four path endpoints must be distinct")
-    for v in (a, b, c, d):
-        if not (0 <= v < g.n):
-            raise GraphError("endpoint out of range")
-    counter = _Engine(g, budget)  # reused for node accounting only
-
-    full = g.full_mask()
-    adj = g.adj
-
-    def second_phase(visited: int) -> tuple[int, ...] | None:
-        rest = full & ~visited
-        sub = _Engine(g, SearchBudget(None))
-        sub.full = rest | (1 << c)
-        path = sub.run(c, d, None)
-        counter.nodes += sub.nodes
-        return path
-
-    result: list[tuple[int, ...]] = []
-
-    def phase1(cur: int, visited: int, trail: list[int]) -> bool:
-        counter.nodes += 1
-        if counter.max_nodes is not None and counter.nodes > counter.max_nodes:
-            raise _BudgetExhausted
-        if cur == b:
-            rest = full & ~visited
-            if rest & (1 << c) == 0 or rest & (1 << d) == 0:
-                return False
-            tail = second_phase(visited)
-            if tail is not None:
-                result.append(tuple(trail) + tail)
-                return True
-            return False
-        rest = full & ~visited
-        # both remaining path pieces are connected, so <= 2 residual parts
-        if len(connected_components(g, rest)) > 2:
-            return False
-        for v in bits(adj[cur] & rest):
-            if v in (c, d):
-                continue
-            trail.append(v)
-            if phase1(v, visited | 1 << v, trail):
-                return True
-            trail.pop()
-        return False
-
-    if not is_connected(g):
-        return SearchResult(Status.NO)
-    try:
-        found = phase1(a, 1 << a, [a])
-    except _BudgetExhausted:
-        return SearchResult(Status.INDETERMINATE, nodes=counter.nodes)
-    if not found:
-        return SearchResult(Status.NO, nodes=counter.nodes)
-    return SearchResult(Status.YES, result[0], counter.nodes)
-
-
 # --- J-cells --------------------------------------------------------------
 
 _JCELL_SINGLE = (("a", "b"), ("c", "d"), ("a", "c"), ("b", "d"))
-_JCELL_DOUBLE = ((("a", "b"), ("c", "d")), (("a", "c"), ("b", "d")))
 
 
 @dataclass(frozen=True)
@@ -403,16 +336,34 @@ class JcellReport:
     failing_condition: str | None = None
 
 
+def _with_connector(g: Graph, b: int, c: int) -> Graph:
+    """``g`` plus a new vertex ``g.n`` adjacent to exactly ``b`` and ``c``."""
+    x = 1 << g.n
+    adj = list(g.adj)
+    adj[b] |= x
+    adj[c] |= x
+    adj.append(1 << b | 1 << c)
+    return Graph(g.n + 1, tuple(adj))
+
+
 def is_jcell(h: Graph, a: int, b: int, c: int, d: int,
              budget: SearchBudget = UNLIMITED) -> JcellReport:
     """Hsu-Lin terminal-quadruple recognition.
 
     Condition 1: (a,d) and (b,c) joined by hamiltonian paths.
-    Condition 2: none of (a,b),(c,d),(a,c),(b,d) nor the spanning path pairs
-    ((a,b),(c,d)), ((a,c),(b,d)) exist.
+    Condition 2: none of (a,b),(c,d),(a,c),(b,d) is joined by a
+    hamiltonian path, and V(H) is not covered by two disjoint paths with
+    end pairs ((a,b),(c,d)) or ((a,c),(b,d)).
     Condition 3: after deleting any single vertex, one of the condition-2
     pairs becomes good; pairs that lost an endpoint to the deletion are
     skipped.
+
+    The two path pairs are decided together, as one hamiltonian a-d path
+    in H plus a connector vertex x adjacent to exactly b and c.  Such a
+    path passes through x, which has degree 2, as b-x-c or c-x-b; cutting
+    it at x leaves a-..-b and c-..-d, or a-..-c and b-..-d.  Conversely
+    either pair of paths joins up through x.  The vertex next to x on the
+    way from a names the pair found.
     """
     if len({a, b, c, d}) != 4:
         raise GraphError("J-cell terminals must be distinct")
@@ -430,15 +381,13 @@ def is_jcell(h: Graph, a: int, b: int, c: int, d: int,
             return JcellReport(False, "indeterminate")
         if r.is_yes:
             return JcellReport(False, f"condition 2: pair ({x},{y}) is good")
-    for (x1, y1), (x2, y2) in _JCELL_DOUBLE:
-        r = has_spanning_two_paths(
-            h, (names[x1], names[y1]), (names[x2], names[y2]), budget)
-        if r.status is Status.INDETERMINATE:
-            return JcellReport(False, "indeterminate")
-        if r.is_yes:
-            return JcellReport(
-                False, f"condition 2: pair (({x1},{y1}),({x2},{y2})) is good")
-    from .graph import induced_subgraph
+    r = has_ham_path_between(_with_connector(h, b, c), a, d, budget)
+    if r.status is Status.INDETERMINATE:
+        return JcellReport(False, "indeterminate")
+    if r.is_yes:
+        w = r.witness
+        pair = "((a,b),(c,d))" if w[w.index(h.n) - 1] == b else "((a,c),(b,d))"
+        return JcellReport(False, f"condition 2: pair {pair} is good")
 
     for v in range(h.n):
         keep = [u for u in range(h.n) if u != v]
@@ -455,19 +404,12 @@ def is_jcell(h: Graph, a: int, b: int, c: int, d: int,
             if r.is_yes:
                 found = True
                 break
-        if not found:
-            for (x1, y1), (x2, y2) in _JCELL_DOUBLE:
-                ends = (names[x1], names[y1], names[x2], names[y2])
-                if v in ends:
-                    continue
-                r = has_spanning_two_paths(
-                    sub, (back[ends[0]], back[ends[1]]),
-                    (back[ends[2]], back[ends[3]]), budget)
-                if r.status is Status.INDETERMINATE:
-                    return JcellReport(False, "indeterminate")
-                if r.is_yes:
-                    found = True
-                    break
+        if not found and v not in names.values():
+            r = has_ham_path_between(_with_connector(sub, back[b], back[c]),
+                                     back[a], back[d], budget)
+            if r.status is Status.INDETERMINATE:
+                return JcellReport(False, "indeterminate")
+            found = r.is_yes
         if not found:
             return JcellReport(False, f"condition 3: no good pair in H-{v}")
     return JcellReport(True, None)

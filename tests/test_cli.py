@@ -42,6 +42,22 @@ def test_analyze_reports_parse_errors(tmp_path, capsys):
     assert json.loads(out.strip())["n"] == 4
 
 
+def test_analyze_reports_graphs_without_ml_or_mu(tmp_path, capsys):
+    # two isolated vertices have no ml; the empty graph has neither
+    f = tmp_path / "odd.g6"
+    f.write_text("A?\n?\n")
+    code, out, err = run(capsys, ["analyze", str(f), "--ml", "--mu"])
+    assert code == 1
+    first, second = (json.loads(line) for line in out.splitlines())
+    assert (first["n"], first["ml"], first["mu"]) == (2, None, 2)
+    assert (second["n"], second["ml"], second["mu"]) == (0, None, None)
+    assert err.splitlines() == [
+        "line 1: minimum leaf number needs a connected non-empty graph",
+        "line 2: minimum leaf number needs a connected non-empty graph",
+        "line 2: path cover of the empty graph is undefined",
+    ]
+
+
 def test_non_ascii_line_is_a_diagnostic(tmp_path, capsys):
     f = tmp_path / "bad.g6"
     f.write_bytes(b"C~\n\xc3\xa9\n")

@@ -14,6 +14,7 @@ from cubicml.graph import (
     bits,
     components_after_deletion,
     connected_components,
+    cut_vertices,
     degree_profile,
     induced_subgraph,
     is_bipartite,
@@ -129,6 +130,10 @@ def test_vertex_connectivity_matches_deletion_oracle(n, p, rng):
             break
     for cap in (1, 2, 3):
         assert vertex_connectivity_capped(g, cap) == min(oracle, cap)
+    if is_connected(g):
+        cuts = mask_of(v for v in range(n)
+                       if components_after_deletion(g, [v]) > 1)
+        assert cut_vertices(g.adj, g.full_mask()) == cuts
 
 
 def test_induced_subgraph():

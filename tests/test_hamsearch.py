@@ -1,4 +1,4 @@
-"""Hamiltonian path/cycle search, two-path spanning queries, terminal quadruples."""
+"""Hamiltonian path/cycle search and terminal-quadruple (J-cell) recognition."""
 
 import os
 import random
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import cubicml
 from cubicml.census import load_fixtures
-from cubicml.graph import Graph, GraphError, parse_graph6
+from cubicml.graph import (
+    Graph, GraphError, induced_subgraph, is_connected, parse_graph6)
 from cubicml.hamsearch import (
     SearchBudget,
     Status,
@@ -21,11 +22,10 @@ from cubicml.hamsearch import (
     has_ham_path,
     has_ham_path_between,
     has_ham_path_from,
-    has_spanning_two_paths,
     is_jcell,
 )
 from cubicml.constructions import named_graph
-from conftest import prism, random_connected_graph, relabel
+from conftest import prism, random_connected_graph, relabel, shuffled_copy
 
 
 def cycle(n: int) -> Graph:
@@ -127,20 +127,6 @@ def test_budget_truncation_is_reported():
     assert not r.is_yes and not r.is_no
 
 
-def test_spanning_two_paths_square():
-    g = cycle(4)
-    assert has_spanning_two_paths(g, (0, 1), (2, 3)).is_yes
-    assert has_spanning_two_paths(g, (0, 2), (1, 3)).is_no
-
-
-def test_spanning_two_paths_rejects_overlap():
-    g = cycle(4)
-    with pytest.raises(GraphError):
-        has_spanning_two_paths(g, (0, 1), (1, 2))
-    with pytest.raises(GraphError):
-        has_spanning_two_paths(g, (0, 0), (1, 2))
-
-
 def oracle_two_paths(g: Graph, p1, p2) -> bool:
     """Brute-force two-path cover oracle via vertex bipartitions."""
     a, b = p1
@@ -170,15 +156,60 @@ def _path_through(g: Graph, vertices, s, t) -> bool:
     return False
 
 
-def test_spanning_two_paths_matches_oracle():
-    rng = random.Random(12)
-    for _ in range(25):
-        n = rng.randint(4, 7)
-        g = random_connected_graph(rng, n, 0.5)
-        pairs = rng.sample(range(n), 4)
-        p1, p2 = (pairs[0], pairs[1]), (pairs[2], pairs[3])
-        assert has_spanning_two_paths(g, p1, p2).is_yes == \
-            oracle_two_paths(g, p1, p2)
+def oracle_is_jcell(h: Graph, a: int, b: int, c: int, d: int) -> int:
+    """The first J-cell condition that (a, b, c, d) fails in h, by brute
+    force; 0 when all three hold."""
+    singles = [(a, b), (c, d), (a, c), (b, d)]
+    doubles = [((a, b), (c, d)), ((a, c), (b, d))]
+
+    def good(g, back, deleted):
+        return any(oracle_ham_path(g, back[s], back[t])
+                   for s, t in singles if deleted not in (s, t)) or \
+            deleted not in (a, b, c, d) and any(
+                oracle_two_paths(g, (back[p], back[q]), (back[r], back[t]))
+                for (p, q), (r, t) in doubles)
+
+    if not (oracle_ham_path(h, a, d) and oracle_ham_path(h, b, c)):
+        return 1
+    if good(h, list(range(h.n)), None):
+        return 2
+    for v in range(h.n):
+        sub, mapping = induced_subgraph(h, [u for u in range(h.n) if u != v])
+        if not good(sub, {orig: i for i, orig in enumerate(mapping)}, v):
+            return 3
+    return 0
+
+
+def test_jcell_matches_brute_force():
+    """Random quadruples of random graphs rarely get past condition 2, so
+    every other case is the smallest J-cell, relabelled, its terminals
+    shuffled and, half the time, one edge toggled."""
+    rng = random.Random(0)
+    gadget = named_graph("smallest_jcell")
+    seen = set()
+    for i in range(40):
+        if i % 2:
+            n = rng.randint(5, 8)
+            h = random_connected_graph(rng, n, rng.choice((0.5, 0.7)))
+            quad = rng.sample(range(n), 4)
+        else:
+            adj = list(gadget.graph.adj)
+            u, v = rng.sample(range(8), 2)
+            if rng.random() < 0.5:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            h, perm = shuffled_copy(rng, Graph(8, tuple(adj)))
+            quad = [perm[t] for t in gadget.attach]
+            rng.shuffle(quad)
+            if not is_connected(h):
+                continue
+        report = is_jcell(h, *quad)
+        expected = oracle_is_jcell(h, *quad)
+        seen.add(expected)
+        assert report.is_jcell == (expected == 0)
+        if expected:
+            assert report.failing_condition.startswith(f"condition {expected}:")
+    assert seen == {0, 1, 2, 3}
 
 
 def test_smallest_terminal_quadruple_accepted():
@@ -242,9 +273,6 @@ def test_search_tree_pinned_on_refutation():
     (lambda g: has_ham_path_between(g, 0, 31), 2329,
      (0, 22, 6, 7, 13, 3, 19, 14, 20, 5, 4, 17, 15, 2, 1, 18, 21, 30, 29, 8,
       23, 9, 16, 25, 10, 28, 27, 24, 11, 12, 26, 31)),
-    (lambda g: has_spanning_two_paths(g, (0, 31), (5, 20)), 14052,
-     (0, 22, 6, 7, 13, 3, 1, 2, 15, 19, 14, 8, 29, 18, 21, 30, 23, 9, 16, 25,
-      10, 28, 17, 4, 27, 24, 11, 12, 26, 31, 5, 20)),
 ])
 def test_search_tree_pinned_on_yes(query, nodes, witness):
     r = query(parse_graph6(_PINNED_32))
