@@ -23,6 +23,7 @@ from cubicml.hamsearch import (
     has_ham_path_between,
     has_ham_path_from,
     is_jcell,
+    _with_connector,
 )
 from cubicml.constructions import named_graph
 from conftest import prism, random_connected_graph, relabel, shuffled_copy
@@ -154,6 +155,40 @@ def _path_through(g: Graph, vertices, s, t) -> bool:
         if all(g.adj[seq[i]] >> seq[i + 1] & 1 for i in range(len(seq) - 1)):
             return True
     return False
+
+
+def _two_path_pairing(g: Graph, a: int, b: int, c: int, d: int) -> str | None:
+    """The spanning path pair that the connector query of ``is_jcell``
+    finds in ``g``: "ab|cd", "ac|bd", or None when it answers NO."""
+    r = has_ham_path_between(_with_connector(g, b, c), a, d)
+    if not r.is_yes:
+        return None
+    w = r.witness
+    assert check_path_witness(_with_connector(g, b, c), w)
+    return "ab|cd" if w[w.index(g.n) - 1] == b else "ac|bd"
+
+
+def test_spanning_two_paths_square():
+    # C4 is covered by the paths 0-1 and 2-3, never by 0..2 and 1..3, so
+    # the pairing read off the witness must be the one that exists.
+    assert _two_path_pairing(cycle(4), 0, 1, 2, 3) == "ab|cd"
+    assert _two_path_pairing(cycle(4), 0, 2, 1, 3) == "ac|bd"
+    # P4 0-1-2-3: only 0-1 with 2-3, which neither pairing of (0,2,3,1) is.
+    assert _two_path_pairing(path_graph(4), 0, 2, 3, 1) is None
+
+
+def test_spanning_two_paths_matches_oracle():
+    rng = random.Random(12)
+    for _ in range(25):
+        n = rng.randint(4, 7)
+        g = random_connected_graph(rng, n, 0.5)
+        a, b, c, d = rng.sample(range(n), 4)
+        found = _two_path_pairing(g, a, b, c, d)
+        ab_cd = oracle_two_paths(g, (a, b), (c, d))
+        ac_bd = oracle_two_paths(g, (a, c), (b, d))
+        assert (found is not None) == (ab_cd or ac_bd)
+        assert found != "ab|cd" or ab_cd
+        assert found != "ac|bd" or ac_bd
 
 
 def oracle_is_jcell(h: Graph, a: int, b: int, c: int, d: int) -> int:
