@@ -222,10 +222,10 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
     """Re-verify every embedded fixture and the construction match.
 
     Checks, per census fixture: order, connectivity class, exhaustive
-    non-traceability, and minimum leaf number 3; the last two come from one
-    ml ladder.  The 28-vertex connectivity-3 graph must equal the
-    vertex-substitution construction on K4 up to isomorphism, and each
-    fixture family must be pairwise non-isomorphic.  The 18-vertex graphs must pass the lemma hypotheses
+    non-traceability, and minimum leaf number 3.  The 28-vertex
+    connectivity-3 graph must equal the vertex-substitution construction on
+    K4 up to isomorphism, and each fixture family must be pairwise
+    non-isomorphic.  The 18-vertex graphs must pass the lemma hypotheses
     yet admit no hamiltonian path from any degree-2 vertex.
     """
     from .constructions import complete_graph, substitute_p_star
@@ -238,15 +238,11 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
         checks.append(Check(
             f.id, "connectivity", f.connectivity,
             vertex_connectivity_capped(f.graph, 3)))
-        # The ladder's first rung, k = 2, is the exhaustive traceability
-        # decision, so the ml result answers the traceable check too.
-        ml = min_leaf_number(f.graph, budget)
-        if ml.status is Status.YES:
-            traceable = ml.value <= 2
-        else:
-            traceable = False if ml.lower_bound > 2 else None
+        r = has_ham_path(f.graph, budget)
+        traceable = None if r.status is Status.INDETERMINATE else r.is_yes
         checks.append(Check(f.id, "traceable", f.traceable, traceable))
-        checks.append(Check(f.id, "ml", f.ml, ml.value))
+        checks.append(Check(f.id, "ml", f.ml,
+                            min_leaf_number(f.graph, budget).value))
 
     g28 = substitute_p_star(complete_graph(4), [0, 1, 2])
     target = next(f for f in census_fixtures if f.family == "nontraceable_28_conn3")

@@ -11,7 +11,8 @@ Subcommands:
   verify-paper re-verify every embedded fixture from scratch
 
 Graphs travel as graph6, one per line; reports are line-delimited JSON.
-Exit codes: 0 all checks pass, 1 a verification mismatch, 2 usage error.
+Exit codes: 0 all checks pass, 1 a verification mismatch or an input line
+left undecided, 2 usage error.
 """
 
 from __future__ import annotations
@@ -139,7 +140,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
             "n": rec.n, "conn2": rec.conn2, "conn3": rec.conn3,
             "total": rec.total, "indeterminate": rec.indeterminate,
         }))
-    return 0
+    # a line left unclassified (malformed, not cubic, or indeterminate
+    # under the budget) fails the run, as it does for analyze
+    return 1 if diagnostics or any(r.indeterminate for r in records) else 0
 
 
 def _generated_degree23(nmax: int) -> Iterator[Graph]:

@@ -2,9 +2,13 @@
 
 ``min_leaf_number`` answers "is there a spanning tree with at most k
 leaves?" for ascending k.  The k = 2 case is exactly traceability and is
-delegated to the hamiltonian engine; larger k uses a spanning-tree
-backtracking that grows the tree one vertex at a time and prunes as soon as
-the committed leaves exceed the budget.
+delegated to the hamiltonian engine.  A larger k first asks for a cover by
+k - 1 vertex-disjoint paths: NO settles the rung, since any such tree splits
+into that many paths.  On YES the cover's paths are joined by anchor edges
+into a tree with at most k leaves when they can be; only when neither
+settles the rung does a spanning-tree backtracking (``_tree_search_le_k``)
+grow the tree one vertex at a time, pruning as soon as the committed leaves
+exceed k.
 
 ``path_cover_number`` reduces "can k vertex-disjoint paths cover V?" to a
 hamiltonian cycle question on the graph augmented with k mutually

@@ -24,13 +24,24 @@ stops once it has reached the others, and is skipped when there is at most
 one.  Only the root of a search (whose rest may be disconnected) spreads
 over the whole rest.  The search runs on an explicit stack, so path length
 is not bounded by the interpreter's recursion limit.
+
+The two whole-graph queries, ``has_ham_path`` and ``has_ham_cycle``, keep
+their YES and NO results in a small memo keyed by the query and the
+adjacency tuple, since the ml and mu ladders and the cover pipeline ask
+them again of the same graph.  It holds at most 32 entries and drops the
+oldest first; an INDETERMINATE result is never kept.  A kept result is
+served only when the budget is unlimited or at least its node count.  The
+engine is deterministic and gives up only once its count exceeds the
+budget, so that is exactly when a fresh search would return the same
+status, witness and node count.  A served witness is checked again.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import (
     Graph,
@@ -233,10 +244,18 @@ class _Engine:
             low &= ~b
 
 
+def _check_witness(g: Graph, kind: str, w: tuple[int, ...]) -> None:
+    if kind == "cycle":
+        require_witness(check_path_witness(g, w) and g.has_edge(w[-1], w[0]),
+                        "hamiltonian cycle")
+    else:
+        require_witness(check_path_witness(g, w), "hamiltonian path")
+
+
 def _result(g: Graph, engine: _Engine, path: tuple[int, ...] | None) -> SearchResult:
     if path is None:
         return SearchResult(Status.NO, nodes=engine.nodes)
-    require_witness(check_path_witness(g, path), "hamiltonian path")
+    _check_witness(g, "path", path)
     return SearchResult(Status.YES, path, engine.nodes)
 
 
@@ -270,6 +289,30 @@ def has_ham_path_between(g: Graph, a: int, b: int,
         return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
 
 
+_MEMO_CAP = 32
+_memo: dict[tuple[str, tuple[int, ...]], SearchResult] = {}
+_memo_lock = threading.Lock()
+
+
+def _memoised(kind: str, search: Callable[[Graph, SearchBudget], SearchResult],
+              g: Graph, budget: SearchBudget) -> SearchResult:
+    """``search(g, budget)``, or the kept answer it would return."""
+    key = (kind, g.adj)
+    kept = _memo.get(key)
+    if kept is not None and (budget.max_nodes is None
+                             or kept.nodes <= budget.max_nodes):
+        if kept.is_yes:
+            _check_witness(g, kind, kept.witness)
+        return kept
+    r = search(g, budget)
+    if r.status is not Status.INDETERMINATE:
+        with _memo_lock:
+            if len(_memo) >= _MEMO_CAP:
+                del _memo[next(iter(_memo))]
+            _memo[key] = r
+    return r
+
+
 def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     """Hamiltonian path, endpoints free.
 
@@ -277,6 +320,10 @@ def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     are u < v is only accepted when searching from u, which halves the
     refutation work without losing any witness.
     """
+    return _memoised("path", _ham_path, g, budget)
+
+
+def _ham_path(g: Graph, budget: SearchBudget) -> SearchResult:
     if g.n == 0:
         return SearchResult(Status.NO)
     if not is_connected(g):
@@ -300,6 +347,10 @@ def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     Anchored at vertex 0; the symmetry second-vertex < last-vertex halves
     the traversal directions.
     """
+    return _memoised("cycle", _ham_cycle, g, budget)
+
+
+def _ham_cycle(g: Graph, budget: SearchBudget) -> SearchResult:
     if g.n < 3:
         raise GraphError("hamiltonian cycle needs at least 3 vertices")
     if not is_connected(g):
@@ -316,9 +367,7 @@ def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
             engine.path = [0, s]
             if engine.search(None, end_mask, 0):
                 path = tuple(engine.path)
-                require_witness(
-                    check_path_witness(g, path) and g.has_edge(path[-1], 0),
-                    "hamiltonian cycle")
+                _check_witness(g, "cycle", path)
                 return SearchResult(Status.YES, path, engine.nodes)
         return SearchResult(Status.NO, nodes=engine.nodes)
     except _BudgetExhausted:

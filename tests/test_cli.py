@@ -66,7 +66,7 @@ def test_non_ascii_line_is_a_diagnostic(tmp_path, capsys):
     assert err.startswith("line 2: non-ASCII byte 0xc3 (byte offset 0)")
     assert json.loads(out.strip())["n"] == 4
     code, out, err = run(capsys, ["census", str(f)])
-    assert code == 0
+    assert code == 1
     assert err.startswith("line 2: unparsable graph6: non-ASCII")
     assert json.loads(out.strip())["total"] == 1
 
@@ -106,9 +106,31 @@ def test_census_jobs_reports_stream_line_numbers(tmp_path, capsys):
     f.write_text("C~\nC~\nC~\n\x01bad\n")
     for argv in (["census", str(f)], ["census", str(f), "--jobs", "2"]):
         code, out, err = run(capsys, argv)
-        assert code == 0
+        assert code == 1
         assert err.startswith("line 4: unparsable graph6")
         assert json.loads(out.strip())["total"] == 3
+
+
+def test_census_fails_on_undecided_lines(tmp_path, capsys):
+    from cubicml.census import load_fixtures
+
+    bad = tmp_path / "bad.g6"
+    bad.write_text("C~\n\x01bad\n")
+    g = load_fixtures("nontraceable_28_conn2")[0].graph
+    hard = write_stream(tmp_path, [g])
+    cases = [
+        ([str(bad)], {"n": 4, "conn2": 0, "conn3": 0, "total": 1,
+                      "indeterminate": 0},
+         "line 2: unparsable graph6"),
+        ([hard, "--max-nodes", "1"], {"n": 28, "conn2": 0, "conn3": 0,
+                                      "total": 1, "indeterminate": 1}, ""),
+    ]
+    for args, record, diagnostic in cases:
+        for jobs in ([], ["--jobs", "2"]):
+            code, out, err = run(capsys, ["census", *args, *jobs])
+            assert code == 1
+            assert json.loads(out) == record
+            assert err.startswith(diagnostic) and bool(err) == bool(diagnostic)
 
 
 def test_lemma_short_scan_small(capsys):

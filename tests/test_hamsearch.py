@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubicml
+from cubicml import hamsearch
 from cubicml.census import load_fixtures
 from cubicml.graph import (
-    Graph, GraphError, induced_subgraph, is_connected, parse_graph6)
+    Graph, GraphError, WitnessError, induced_subgraph, is_connected,
+    parse_graph6)
 from cubicml.hamsearch import (
     SearchBudget,
     Status,
@@ -296,6 +298,11 @@ def test_search_tree_pinned_on_refutation():
              if f.id == "nontraceable_30_c3_01")
     r = has_ham_path(g)
     assert r.status is Status.NO and r.nodes == 98_600
+    # served from the memo from here on, where a fresh search would agree
+    assert has_ham_path(g) == r
+    assert has_ham_path(g, SearchBudget(98_600)) == r
+    cut = has_ham_path(g, SearchBudget(98_599))
+    assert cut.status is Status.INDETERMINATE and cut.nodes == 98_600
 
 
 @pytest.mark.parametrize("query, nodes, witness", [
@@ -369,3 +376,58 @@ def test_long_prism_needs_no_recursion():
     assert r.is_yes
     assert sorted(r.witness) == list(range(g.n))
     assert check_path_witness(g, r.witness)
+
+
+# --- the memo under has_ham_path and has_ham_cycle ------------------------
+
+
+def _fresh(query, g, budget):
+    """``query(g, budget)`` searched afresh, the memo left as it was."""
+    kept = dict(hamsearch._memo)
+    hamsearch._memo.clear()
+    try:
+        return query(g, budget)
+    finally:
+        hamsearch._memo.clear()
+        hamsearch._memo.update(kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_graphs(min_n=3),
+       budgets=st.lists(st.one_of(st.none(), st.integers(0, 80)),
+                        min_size=1, max_size=6))
+def test_memo_serves_what_a_fresh_search_returns(g, budgets):
+    # an unlimited search first, so that every later budget, small ones
+    # included, meets a kept answer
+    for query in (has_ham_path, has_ham_cycle):
+        for max_nodes in [None, *budgets]:
+            budget = SearchBudget(max_nodes)
+            assert query(g, budget) == _fresh(query, g, budget)
+
+
+def test_memo_hit_checks_the_witness(monkeypatch):
+    monkeypatch.setattr(hamsearch, "_memo", {})
+    g = prism(5)
+    real = hamsearch.check_path_witness
+    for query in (has_ham_path, has_ham_cycle):
+        calls = []
+
+        def check_once(h, w):
+            calls.append(w)
+            return len(calls) == 1 and real(h, w)
+
+        monkeypatch.setattr(hamsearch, "check_path_witness", check_once)
+        assert query(g).is_yes
+        with pytest.raises(WitnessError):
+            query(g)
+        assert len(calls) == 2
+
+
+def test_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(hamsearch, "_memo", {})
+    for n in range(3, 103):
+        assert has_ham_path(cycle(n)).is_yes
+        assert has_ham_cycle(cycle(n)).is_yes
+    assert len(hamsearch._memo) == hamsearch._MEMO_CAP == 32
+    assert ("cycle", cycle(102).adj) in hamsearch._memo
+    assert ("path", cycle(3).adj) not in hamsearch._memo
