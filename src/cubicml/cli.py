@@ -141,7 +141,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
             "total": rec.total, "indeterminate": rec.indeterminate,
         }))
     # a line left unclassified (malformed, not cubic, or indeterminate
-    # under the budget) fails the run, as it does for analyze
+    # under the budget) fails the run
     return 1 if diagnostics or any(r.indeterminate for r in records) else 0
 
 
