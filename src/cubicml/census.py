@@ -9,9 +9,11 @@ and is re-verified from scratch by ``verify_paper_artifacts``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .graph import (
     Graph,
@@ -109,15 +111,13 @@ class ScanResult:
     hypotheses_failed: int = 0
 
 
-def lemma_short_scan(graphs: Iterable[Graph], nmax: int | None = None,
+def lemma_short_scan(graphs: Iterable[Graph],
                      budget: SearchBudget = UNLIMITED) -> ScanResult:
     """Find graphs meeting the hypotheses with no hamiltonian path starting
     at any degree-2 vertex.  Budget-truncated searches are collected apart,
     never silently dropped."""
     result = ScanResult()
     for g in graphs:
-        if nmax is not None and g.n > nmax:
-            continue
         result.scanned += 1
         ok, _ = lemma_short_hypotheses(g, budget)
         if not ok:
@@ -153,13 +153,6 @@ class CensusRecord:
     total: int = 0
     indeterminate: int = 0
 
-    def merge(self, other: "CensusRecord") -> None:
-        assert self.n == other.n
-        self.conn2 += other.conn2
-        self.conn3 += other.conn3
-        self.total += other.total
-        self.indeterminate += other.indeterminate
-
 
 def census_graph(g: Graph, budget: SearchBudget = UNLIMITED) -> tuple[str, int]:
     """Classify one cubic graph: returns (kind, connectivity) where kind is
@@ -173,26 +166,34 @@ def census_graph(g: Graph, budget: SearchBudget = UNLIMITED) -> tuple[str, int]:
 
 def nontraceable_census(
     sources: Iterable[bytes | str], budget: SearchBudget = UNLIMITED,
-    start: int = 1,
+    mapper: Callable[..., Iterable[tuple[str, int]]] = map,
 ) -> tuple[list[CensusRecord], list[str]]:
     """Count non-traceable cubic graphs by order and connectivity class.
 
-    ``sources`` is an iterable of graph6 lines, the first of which is line
-    ``start`` of its stream.  Non-cubic and malformed entries produce
-    per-line diagnostics instead of aborting the stream.
+    ``sources`` is an iterable of graph6 lines.  Non-cubic and malformed
+    entries produce per-line diagnostics instead of aborting the stream.
+    ``mapper(census_graph, graphs, budgets)`` classifies the cubic graphs
+    and must yield the results in stream order, as ``map`` does; a process
+    pool's ``map`` spreads the work over processes.
     """
-    records: dict[int, CensusRecord] = {}
     diagnostics: list[str] = []
-    for lineno, g in read_graph6_lines(sources, start):
-        if isinstance(g, Graph6Error):
-            diagnostics.append(f"line {lineno}: unparsable graph6: {g}")
-            continue
-        if not is_cubic(g):
-            diagnostics.append(f"line {lineno}: not cubic, skipped")
-            continue
-        rec = records.setdefault(g.n, CensusRecord(g.n))
+    orders: deque[int] = deque()
+
+    def cubic_graphs() -> Iterator[Graph]:
+        for lineno, g in read_graph6_lines(sources):
+            if isinstance(g, Graph6Error):
+                diagnostics.append(f"line {lineno}: unparsable graph6: {g}")
+            elif not is_cubic(g):
+                diagnostics.append(f"line {lineno}: not cubic, skipped")
+            else:
+                orders.append(g.n)
+                yield g
+
+    records: dict[int, CensusRecord] = {}
+    for kind, conn in mapper(census_graph, cubic_graphs(), repeat(budget)):
+        n = orders.popleft()
+        rec = records.setdefault(n, CensusRecord(n))
         rec.total += 1
-        kind, conn = census_graph(g, budget)
         if kind == "indeterminate":
             rec.indeterminate += 1
         elif kind == "nontraceable":

@@ -4,7 +4,9 @@ Subcommands:
 
   analyze      per-graph verdicts (connectivity, traceability, optionally
                ml and the path cover number) for a graph6 stream
-  census       non-traceable counts by order and connectivity class
+  census       non-traceable counts by order and connectivity class;
+               ``--jobs N`` classifies chunks of graphs in N worker
+               processes and tallies them in stream order
   lemma-short  scan for counterexamples to the degree-2-start guarantee
   construct    emit a named construction family member as graph6
   generate     isomorph-free generation of connected cubic graphs
@@ -21,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
 from .census import (
@@ -87,15 +90,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             t = time.perf_counter()
             r = has_ham_path(g, budget)
             timings["traceable"] = round(time.perf_counter() - t, 6)
-            record["traceable"] = (
-                None if r.status is Status.INDETERMINATE else r.is_yes)
+            undecided = r.status is Status.INDETERMINATE
+            record["traceable"] = None if undecided else r.is_yes
             for key, wanted, solve in (("ml", args.ml, min_leaf_number),
                                        ("mu", args.mu, path_cover_number)):
                 if not wanted:
                     continue
                 t = time.perf_counter()
                 try:
-                    record[key] = solve(g, budget).value
+                    res = solve(g, budget)
+                    undecided |= res.status is Status.INDETERMINATE
+                    record[key] = res.value
                 except GraphError as exc:
                     # e.g. ml of a disconnected graph, mu of the empty one
                     print(f"line {lineno}: {exc}", file=sys.stderr)
@@ -104,35 +109,28 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 timings[key] = round(time.perf_counter() - t, 6)
             record["timings"] = timings
             print(json.dumps(record), flush=True)
+            if undecided:
+                status = 1
     return status
+
+
+# Graphs per task under ``census --jobs``: a non-traceable graph costs
+# 10^3-10^4 times a traceable one, so small chunks keep one slow graph from
+# holding many others back, while each still amortises its pickling.
+_CENSUS_CHUNK = 8
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
     budget = _budget(args.max_nodes)
     with _open_stream(args.input) as stream:
-        lines = stream.readlines()
-    if args.jobs > 1:
-        # shards split by line ranges; per-order records merge by addition
-        from concurrent.futures import ProcessPoolExecutor
+        if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        size = max(1, -(-len(lines) // args.jobs))
-        offsets = range(0, len(lines), size)
-        shards = [lines[i:i + size] for i in offsets]
-        merged: dict[int, object] = {}
-        diagnostics: list[str] = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for recs, diags in pool.map(
-                    nontraceable_census, shards, [budget] * len(shards),
-                    [i + 1 for i in offsets]):
-                diagnostics.extend(diags)
-                for rec in recs:
-                    if rec.n in merged:
-                        merged[rec.n].merge(rec)
-                    else:
-                        merged[rec.n] = rec
-        records = sorted(merged.values(), key=lambda r: r.n)
-    else:
-        records, diagnostics = nontraceable_census(lines, budget)
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                records, diagnostics = nontraceable_census(
+                    stream, budget, partial(pool.map, chunksize=_CENSUS_CHUNK))
+        else:
+            records, diagnostics = nontraceable_census(stream, budget)
     for msg in diagnostics:
         print(msg, file=sys.stderr)
     for rec in records:
@@ -288,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "graph6 stream")
     p.add_argument("input", help="graph6 file, or - for stdin")
     p.add_argument("--jobs", type=int, default=1,
-                   help="process the stream in N parallel shards")
+                   help="classify the graphs in N worker processes, in "
+                        "chunks, reporting in stream order")
     p.add_argument("--max-nodes", type=int, default=None)
     p.set_defaults(func=_cmd_census)
 

@@ -39,11 +39,10 @@ class VdpCover:
     """Vertex-disjoint paths covering all of V(G)."""
 
     paths: tuple[tuple[int, ...], ...]
-    short_threshold: int = SHORT_THRESHOLD
 
     @property
     def short_count(self) -> int:
-        return sum(1 for p in self.paths if len(p) < self.short_threshold)
+        return sum(1 for p in self.paths if len(p) < SHORT_THRESHOLD)
 
     @property
     def long_count(self) -> int:
@@ -86,7 +85,7 @@ class CoverReport:
         return self.tree.leaf_count
 
 
-def initial_vdp_cover(g: Graph, short_threshold: int = SHORT_THRESHOLD) -> VdpCover:
+def initial_vdp_cover(g: Graph) -> VdpCover:
     """Greedy path peeling: walk from the smallest uncovered vertex, always
     to the smallest uncovered neighbour, extending both ends."""
     if g.n == 0 or not is_connected(g):
@@ -111,7 +110,7 @@ def initial_vdp_cover(g: Graph, short_threshold: int = SHORT_THRESHOLD) -> VdpCo
                 else:
                     path.append(v)
         paths.append(tuple(path))
-    cover = VdpCover(tuple(paths), short_threshold)
+    cover = VdpCover(tuple(paths))
     require_witness(cover.validate(g), "initial path cover")
     return cover
 
@@ -186,7 +185,7 @@ def optimize_cover(g: Graph, c: VdpCover,
             changed = True
         if _exchange_once(g, paths):
             changed = True
-    out = VdpCover(tuple(paths), c.short_threshold)
+    out = VdpCover(tuple(paths))
     require_witness(out.validate(g), "optimized path cover")
     return out
 
@@ -215,9 +214,9 @@ def reroute_short_path(g: Graph, c: VdpCover, i: int,
     if not (0 <= i < len(c.paths)):
         raise CoverError(f"path index {i} out of range")
     p = c.paths[i]
-    if len(p) >= c.short_threshold:
+    if len(p) >= SHORT_THRESHOLD:
         raise LongPathError(
-            f"path {i} has {len(p)} vertices, not short (< {c.short_threshold})")
+            f"path {i} has {len(p)} vertices, not short (< {SHORT_THRESHOLD})")
     sub, vmap = induced_subgraph(g, p)
     back = {orig: k for k, orig in enumerate(vmap)}
     owner: dict[int, int] = {
@@ -288,7 +287,7 @@ def cover_to_tree(g: Graph, c: VdpCover,
 
     failures = 0
     order = sorted(
-        (j for j, q in enumerate(c.paths) if len(q) < c.short_threshold),
+        (j for j, q in enumerate(c.paths) if len(q) < SHORT_THRESHOLD),
         key=lambda j: (len(c.paths[j]), j),
     )
     for j in order:

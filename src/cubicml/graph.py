@@ -387,15 +387,15 @@ def write_graph6(g: Graph) -> bytes:
     return bytes(out)
 
 
-def read_graph6_lines(lines: Iterable[bytes | str], start: int = 1
+def read_graph6_lines(lines: Iterable[bytes | str]
                       ) -> Iterator[tuple[int, Graph | Graph6Error]]:
     """Parse a stream of graph6 lines into (line number, graph) records.
 
-    Blank lines yield nothing but are counted: the first line is number
-    ``start``.  A malformed line yields its ``Graph6Error`` in place of the
-    graph, so one bad line never ends the stream.
+    Blank lines yield nothing but are counted: the first line is number 1.
+    A malformed line yields its ``Graph6Error`` in place of the graph, so
+    one bad line never ends the stream.
     """
-    for lineno, line in enumerate(lines, start):
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped:
             continue

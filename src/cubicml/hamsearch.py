@@ -6,6 +6,14 @@ only fixed-pair queries, on H, on H minus a vertex, and on either plus one
 connector vertex.  Verdicts are exact; a node budget can cut a search
 short, in which case the result is indeterminate rather than wrong.
 
+Free-endpoint paths and cycles share one anchored driver.  It searches
+``prefix + [s, ..., t]`` for each choice s in ascending order and accepts
+only a final t > s among the choices, so each path or cycle is found in
+one direction only.  A cycle has prefix [0] and the neighbours of 0 as
+choices.  A path is a cycle through a hub adjacent to every vertex, cut
+open at the hub: empty prefix, every vertex a choice.  The hub stays
+implicit, because a real one would add a bit to every mask.
+
 Pruning at every node (Rubin, JACM 1974; Vandegriend & Culberson, JAIR
 1998):
   * the unvisited vertices must induce a connected graph;
@@ -94,8 +102,9 @@ class _BudgetExhausted(Exception):
 
 
 def check_path_witness(g: Graph, path: tuple[int, ...]) -> bool:
-    """Mechanical validation: distinct consecutive-adjacent vertices."""
-    if len(set(path)) != len(path):
+    """Mechanical validation of a hamiltonian path: all ``g.n`` vertices,
+    each once, consecutive ones adjacent."""
+    if len(path) != g.n or len(set(path)) != g.n:
         return False
     return all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
 
@@ -108,28 +117,24 @@ class _Engine:
         self.nodes = 0
         self.path: list[int] = []
 
-    def run(self, start: int, end: int | None, end_mask: int | None,
-            min_final: int = 0) -> tuple[int, ...] | None:
-        """Search a hamiltonian path from ``start``.
-
-        ``end``: exact final vertex, kept unvisited until last.
-        ``end_mask``: allowed final vertices (used for cycle closure).
-        ``min_final``: free-end symmetry breaking, final index must be >= it.
-        """
+    def run(self, start: int, end: int | None) -> tuple[int, ...] | None:
+        """Search a hamiltonian path from ``start``, ending at ``end`` when
+        it is given (kept unvisited until last)."""
         self.path = [start]
-        if self.search(end, end_mask, min_final):
+        if self.search(end, -1):
             return tuple(self.path)
         return None
 
-    def search(self, end: int | None, end_mask: int | None,
-               min_final: int) -> bool:
+    def search(self, end: int | None, end_mask: int) -> bool:
         """Extend ``self.path`` to a hamiltonian path of ``full``.
 
         The path's vertices count as visited and its last vertex is where
         the search stands; on success ``self.path`` holds the witness.  The
-        root node proves its unvisited rest connected by a full spread and
-        scans it for low-degree vertices; every deeper node only looks
-        around the vertex just added (see the module docstring).
+        path ends at ``end`` when it is given, else in ``end_mask``, so a
+        rest that misses ``end_mask`` is dead.  The root node proves its
+        unvisited rest connected by a full spread and scans it for
+        low-degree vertices; every deeper node only looks around the vertex
+        just added (see the module docstring).
         """
         adj = self.adj
         path = self.path
@@ -140,14 +145,8 @@ class _Engine:
             return True
         endbit = 0 if end is None else 1 << end
         adj_end = 0 if end is None else adj[end]
-        # the final vertex must lie in last_ok; the rest must meet must_meet
-        if end is not None:
-            last_ok = endbit
-        elif end_mask is not None:
-            last_ok = end_mask
-        else:
-            last_ok = -1 << min_final
-        must_meet = -1 if end_mask is None else end_mask
+        # the final vertex must lie in last_ok; the rest must meet end_mask
+        last_ok = end_mask if end is None else endbit
         low = 0  # unvisited vertices with residual degree <= 1
         m = rest
         while m:
@@ -171,7 +170,7 @@ class _Engine:
                     path.append(rest.bit_length() - 1)
                     self.nodes = nodes
                     return True
-            elif rest & must_meet:
+            elif rest & end_mask:
                 # Residual degrees fall only around cur: refresh low there
                 # and keep each neighbour's degree to order the children.
                 m = nb
@@ -252,10 +251,11 @@ def _check_witness(g: Graph, kind: str, w: tuple[int, ...]) -> None:
         require_witness(check_path_witness(g, w), "hamiltonian path")
 
 
-def _result(g: Graph, engine: _Engine, path: tuple[int, ...] | None) -> SearchResult:
+def _result(g: Graph, engine: _Engine, path: tuple[int, ...] | None,
+            kind: str = "path") -> SearchResult:
     if path is None:
         return SearchResult(Status.NO, nodes=engine.nodes)
-    _check_witness(g, "path", path)
+    _check_witness(g, kind, path)
     return SearchResult(Status.YES, path, engine.nodes)
 
 
@@ -268,7 +268,7 @@ def has_ham_path_from(g: Graph, start: int,
         return SearchResult(Status.NO)
     engine = _Engine(g, budget)
     try:
-        return _result(g, engine, engine.run(start, None, None))
+        return _result(g, engine, engine.run(start, None))
     except _BudgetExhausted:
         return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
 
@@ -284,7 +284,7 @@ def has_ham_path_between(g: Graph, a: int, b: int,
         return SearchResult(Status.NO)
     engine = _Engine(g, budget)
     try:
-        return _result(g, engine, engine.run(a, b, None))
+        return _result(g, engine, engine.run(a, b))
     except _BudgetExhausted:
         return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
 
@@ -316,29 +316,22 @@ def _memoised(kind: str, search: Callable[[Graph, SearchBudget], SearchResult],
 def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     """Hamiltonian path, endpoints free.
 
-    Tries each start vertex in ascending order; a path whose two endpoints
-    are u < v is only accepted when searching from u, which halves the
-    refutation work without losing any witness.
+    The anchored cycle driver answers it as a cycle through an implicit hub
+    adjacent to every vertex: from each start s in ascending order it
+    accepts only an end t > s, which halves the refutation work without
+    losing any witness.  A real hub would shift every mask by one bit,
+    moving vertex 29 of a 30-vertex graph into a second CPython integer
+    digit, and measured slower.
     """
     return _memoised("path", _ham_path, g, budget)
 
 
 def _ham_path(g: Graph, budget: SearchBudget) -> SearchResult:
-    if g.n == 0:
-        return SearchResult(Status.NO)
-    if not is_connected(g):
+    if g.n == 0 or not is_connected(g):
         return SearchResult(Status.NO)
     if g.n == 1:
         return SearchResult(Status.YES, (0,))
-    engine = _Engine(g, budget)
-    try:
-        for s in range(g.n - 1):
-            path = engine.run(s, None, None, min_final=s + 1)
-            if path is not None:
-                return _result(g, engine, path)
-        return SearchResult(Status.NO, nodes=engine.nodes)
-    except _BudgetExhausted:
-        return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
+    return _anchored(g, budget, "path", [], g.full_mask())
 
 
 def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
@@ -355,21 +348,23 @@ def _ham_cycle(g: Graph, budget: SearchBudget) -> SearchResult:
         raise GraphError("hamiltonian cycle needs at least 3 vertices")
     if not is_connected(g):
         return SearchResult(Status.NO)
+    return _anchored(g, budget, "cycle", [0], g.adj[0])
+
+
+def _anchored(g: Graph, budget: SearchBudget, kind: str, prefix: list[int],
+              choices: int) -> SearchResult:
+    """Hamiltonian path ``prefix + [s, ..., t]`` with s < t both in
+    ``choices``, trying each s in ascending order."""
     engine = _Engine(g, budget)
     try:
-        nbrs0 = sorted(bits(g.adj[0]))
-        for i, s in enumerate(nbrs0):
-            end_mask = 0
-            for t in nbrs0[i + 1:]:
-                end_mask |= 1 << t
+        for s in bits(choices):
+            end_mask = choices >> s + 1 << s + 1
             if not end_mask:
                 break
-            engine.path = [0, s]
-            if engine.search(None, end_mask, 0):
-                path = tuple(engine.path)
-                _check_witness(g, "cycle", path)
-                return SearchResult(Status.YES, path, engine.nodes)
-        return SearchResult(Status.NO, nodes=engine.nodes)
+            engine.path = prefix + [s]
+            if engine.search(None, end_mask):
+                return _result(g, engine, tuple(engine.path), kind)
+        return _result(g, engine, None)
     except _BudgetExhausted:
         return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
 

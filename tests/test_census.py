@@ -5,7 +5,6 @@ import pytest
 from cubicml.graph import Graph, write_graph6
 from cubicml.hamsearch import SearchBudget
 from cubicml.census import (
-    CensusRecord,
     census_graph,
     lemma_short_hypotheses,
     lemma_short_scan,
@@ -14,6 +13,7 @@ from cubicml.census import (
     verify_paper_artifacts,
 )
 from cubicml.generate import generate_cubic
+from conftest import prism
 
 
 def k4() -> Graph:
@@ -79,8 +79,6 @@ def test_lemma_scan_filters_and_finds():
     assert scan.scanned == 2
     assert scan.hypotheses_failed == 1  # K4
     assert scan.counterexamples == []  # a degree-2-start ham path exists
-    scan = lemma_short_scan([k4()], nmax=3)
-    assert scan.scanned == 0  # filtered by order
 
 
 def test_lemma_scan_on_embedded_order18_graphs():
@@ -121,11 +119,24 @@ def test_nontraceable_census_diagnostics():
     assert records[0].conn2 == 0 and records[0].conn3 == 0
 
 
-def test_census_record_merge():
-    a = CensusRecord(28, conn2=2, conn3=1, total=3)
-    b = CensusRecord(28, conn2=1, conn3=0, total=2, indeterminate=1)
-    a.merge(b)
-    assert (a.conn2, a.conn3, a.total, a.indeterminate) == (3, 1, 5, 1)
+def test_nontraceable_census_maps_cubic_graphs_in_stream_order():
+    hard = [f.graph for f in load_fixtures("nontraceable_28_conn2")[:2]]
+    cubic = [k4(), hard[0], prism(3), hard[1]]
+    lines = [write_graph6(g) for g in cubic]
+    lines[1:1] = ["\x01bad"]
+    lines[3:3] = ["", "D~{"]
+    seen = []
+
+    def recording(fn, graphs, budgets):
+        for g, budget in zip(graphs, budgets):
+            seen.append(g)
+            yield fn(g, budget)
+
+    records, diagnostics = nontraceable_census(lines, mapper=recording)
+    assert [g.adj for g in seen] == [g.adj for g in cubic]
+    assert (records, diagnostics) == nontraceable_census(lines)
+    assert diagnostics[0].startswith("line 2: unparsable graph6")
+    assert diagnostics[1:] == ["line 5: not cubic, skipped"]
 
 
 def test_in_repo_census_small_orders():

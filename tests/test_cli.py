@@ -17,9 +17,13 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _g6(g):
+    return write_graph6(g).decode("ascii")
+
+
 def write_stream(tmp_path, graphs):
     f = tmp_path / "stream.g6"
-    f.write_text("".join(write_graph6(g).decode("ascii") + "\n" for g in graphs))
+    f.write_text("".join(_g6(g) + "\n" for g in graphs))
     return str(f)
 
 
@@ -56,6 +60,18 @@ def test_analyze_reports_graphs_without_ml_or_mu(tmp_path, capsys):
         "line 2: minimum leaf number needs a connected non-empty graph",
         "line 2: path cover of the empty graph is undefined",
     ]
+
+
+def test_analyze_fails_on_undecided_answers(tmp_path, capsys):
+    from cubicml.census import load_fixtures
+
+    g = load_fixtures("nontraceable_28_conn2")[0].graph
+    path = write_stream(tmp_path, [g])
+    code, out, err = run(capsys, ["analyze", path, "--ml", "--mu",
+                                  "--max-nodes", "1"])
+    assert code == 1 and err == ""
+    rec = json.loads(out)
+    assert (rec["traceable"], rec["ml"], rec["mu"]) == (None, None, None)
 
 
 def test_non_ascii_line_is_a_diagnostic(tmp_path, capsys):
@@ -101,7 +117,7 @@ def test_census_roundtrip(tmp_path, capsys):
 
 
 def test_census_jobs_reports_stream_line_numbers(tmp_path, capsys):
-    # the malformed line 4 lands in the second of two shards
+    # the malformed line 4 is numbered by the stream, with or without workers
     f = tmp_path / "bad.g6"
     f.write_text("C~\nC~\nC~\n\x01bad\n")
     for argv in (["census", str(f)], ["census", str(f), "--jobs", "2"]):
@@ -131,6 +147,37 @@ def test_census_fails_on_undecided_lines(tmp_path, capsys):
             assert code == 1
             assert json.loads(out) == record
             assert err.startswith(diagnostic) and bool(err) == bool(diagnostic)
+
+
+@pytest.mark.slow
+def test_census_jobs_matches_single_process(tmp_path, capsys):
+    from cubicml import hamsearch
+    from cubicml.census import load_fixtures
+    from cubicml.generate import generate_cubic
+
+    lines: list[str] = []
+    generate_cubic(14, sink=lambda g: lines.append(_g6(g)))
+    lines[100:100] = ["", "\x01bad", _g6(complete_graph(5))]
+    lines += [_g6(f.graph) for f in load_fixtures()
+              if f.family != "order18_no_deg2_start"]  # the heavy ones last
+    f = tmp_path / "census.g6"
+    f.write_text("\n".join(lines) + "\n")
+    # workers first, so that neither run is served by the other's memo
+    hamsearch._memo.clear()
+    jobs = run(capsys, ["census", str(f), "--jobs", "2"])
+    hamsearch._memo.clear()
+    single = run(capsys, ["census", str(f)])
+    assert jobs == single
+    code, out, err = single
+    assert code == 1
+    first, second = err.splitlines()
+    assert first.startswith("line 102: unparsable graph6")
+    assert second == "line 103: not cubic, skipped"
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"n": 14, "conn2": 0, "conn3": 0, "total": 509, "indeterminate": 0},
+        {"n": 28, "conn2": 9, "conn3": 1, "total": 10, "indeterminate": 0},
+        {"n": 30, "conn2": 0, "conn3": 9, "total": 9, "indeterminate": 0},
+    ]
 
 
 def test_lemma_short_scan_small(capsys):

@@ -26,7 +26,7 @@ def cycle(n: int) -> Graph:
 
 
 def test_vdp_cover_counts():
-    c = VdpCover((tuple(range(20)), (20, 21)), short_threshold=18)
+    c = VdpCover((tuple(range(20)), (20, 21)))
     assert c.long_count == 1 and c.short_count == 1
     assert c.sum_squares == 400 + 4
     assert SHORT_THRESHOLD == 18
@@ -84,7 +84,7 @@ def test_reroute_short_path_on_cubic_host():
             continue
         # split the hamiltonian path into a short head and a tail
         ham = path_cover_number(g).paths[0]
-        c = VdpCover((ham[:4], ham[4:]), short_threshold=18)
+        c = VdpCover((ham[:4], ham[4:]))
         plan = reroute_short_path(g, c, 0)
         assert sorted(plan.path) == sorted(ham[:4])
         u, v = plan.anchor
@@ -96,7 +96,7 @@ def test_reroute_rejects_long_path():
     g = random_cubic_graph(random.Random(35), 20)
     mu = path_cover_number(g)
     if mu.value == 1:
-        c = VdpCover((mu.paths[0],), short_threshold=18)
+        c = VdpCover((mu.paths[0],))
         with pytest.raises(LongPathError):
             reroute_short_path(g, c, 0)
 
