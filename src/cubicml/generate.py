@@ -9,10 +9,25 @@ isomorphism class of states is reached through exactly one parent and one
 attachment orbit — no global seen-set is needed.
 
 The canonical choice is: among the vertices whose removal keeps the graph
-connected, minimise first an invariant colour (refined degrees seeded with
-triangle counts and distance profiles, which discriminates even on regular
-graphs), then the position in a canonical labeling.  Colour comparisons
-settle most candidates without computing the labeling at all.
+connected, minimise first the pair seed (degree, then the sorted
+common-neighbour and adjacency codes against every other vertex), then the
+colour refined from the seeds, then the position in a canonical labeling.
+Each child meets the exact tests in order of cost, and the first that
+decides it ends the work on it:
+
+1. degree: the new vertex is always deletable and every seed leads with
+   the degree, so a leaf rejects a new vertex of degree 2 or 3 at once;
+2. cut mask: after it, a deletable vertex of lower degree rejects;
+3. seeds: ``pair_seeds``;
+4. colours: ``seeded_colors``, only when the least seed is tied;
+5. labeling: ``canonical_data``, only when the least colour is tied.
+
+An accepted child keeps what its test computed, and its own children are
+tried from that: the cut mask (inherited without a DFS when the new vertex
+is pendant, or joins a parent that had no cut vertex), the seeds, the
+colours and the canonical data when they were computed.  The colours and
+the automorphism group of a state are computed only when the seeds, and
+then the colours, leave two attachment candidates tied.
 
 Intended scale: cubic up to n = 20, degree-{2,3} up to n = 13.
 """
@@ -20,11 +35,11 @@ Intended scale: cubic up to n = 20, degree-{2,3} up to n = 13.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from .graph import Graph, GraphError, cut_vertices, vertex_connectivity_capped
-from .isomorphism import canonical_data, pair_seeds as _pair_seeds, \
-    seeded_colors as _seeded_colors
+from .isomorphism import CanonicalData, canonical_data, \
+    pair_seeds as _pair_seeds, seeded_colors as _seeded_colors
 
 Sink = Callable[[Graph], None]
 
@@ -32,57 +47,76 @@ GENERATOR_MAX_CUBIC = 20
 GENERATOR_MAX_DEG23 = 13
 
 
-def _deletable(g: Graph) -> list[int]:
-    """Vertices whose removal keeps the graph connected (non-cut vertices)."""
-    cuts = cut_vertices(g.adj, g.full_mask())
-    return [v for v in range(g.n) if not cuts >> v & 1]
+def _deletable(g: Graph, cuts: int,
+               combo: tuple[int, ...]) -> tuple[int, list[int]]:
+    """Cut mask and non-cut vertices of ``g``, whose newest vertex was
+    attached to ``combo`` in a parent with cut mask ``cuts``.
+
+    A pendant vertex makes its neighbour a cut vertex (once a third vertex
+    exists) and leaves every other vertex as it was.  A vertex with two or
+    more neighbours only joins blocks, so cut vertices can only disappear:
+    none remain when the parent had none, and only otherwise does a DFS run.
+    """
+    if len(combo) == 1:
+        if g.n > 2:
+            cuts |= 1 << combo[0]
+    elif cuts:
+        cuts = cut_vertices(g.adj, g.full_mask())
+    return cuts, [v for v in range(g.n) if not cuts >> v & 1]
 
 
-def _feasible(degs: tuple[int, ...], slots: int, min_final_deg: int) -> bool:
+def _feasible(degs: Sequence[int], slots: int, min_final_deg: int) -> bool:
     """Can the remaining ``slots`` vertices complete the degree targets?
 
     Every existing vertex must end with degree between ``min_final_deg``
     and 3, and can gain at most one edge per future vertex.
     """
-    need = sum(max(0, min_final_deg - d) for d in degs)
+    if min_final_deg - min(degs) > slots:
+        return False
+    need = sum((min_final_deg - j) * degs.count(j)
+               for j in range(min_final_deg))
     if need > 3 * slots:
         return False
-    if any(min_final_deg - d > slots for d in degs):
-        return False
-    if min_final_deg == 3:
-        # net deficit change per added vertex is odd (3 - 2d), so the total
-        # deficit and the number of remaining vertices share parity
-        deficit = sum(3 - d for d in degs)
-        if (deficit - slots) % 2:
-            return False
-    return True
+    # for cubic targets need is the total deficit, whose change per added
+    # vertex is odd (3 - 2d): it shares parity with the remaining vertices
+    return min_final_deg != 3 or (need - slots) % 2 == 0
 
 
-def _grow(g: Graph, nbrs: list[tuple[int, ...]], n: int, min_final_deg: int,
-          emit: Sink, gdata=None) -> None:
-    degs = tuple(len(nb) for nb in nbrs)
+def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
+          seeds: list[tuple[int, ...]], colors: tuple[int, ...] | None,
+          data: CanonicalData | None, n: int, min_final_deg: int,
+          emit: Sink) -> None:
+    """Extend the accepted state ``g`` by every canonical child.
+
+    ``cuts``, ``seeds``, ``colors`` and ``data`` are the facts the parent's
+    acceptance test computed for ``g``; ``colors`` and ``data`` are None
+    when that test did not need them.
+    """
     k = g.n
     if k == n:
-        if all(d >= min_final_deg for d in degs):
-            emit(g)
+        # the last child passed _feasible with no slots left, so every
+        # degree already meets min_final_deg
+        emit(g)
         return
-    if not _feasible(degs, n - k, min_final_deg):
-        return
+    degs = [len(nb) for nb in nbrs]
     deficient = [v for v in range(k) if degs[v] < 3]
-    # attachment sets are deduplicated up to Aut(g); pairwise-distinct
-    # invariants certify a trivial group, skipping the canonical labeling
-    gseeds = _pair_seeds(g)
-    if len(set(gseeds)) == k or \
-            len(set(_seeded_colors(g, gseeds, nbrs))) == k:
-        autos: tuple[tuple[int, ...], ...] = ()
-    else:
-        if gdata is None:
-            gdata = canonical_data(g)
-        autos = gdata.automorphisms
+    # attachment sets are deduplicated up to Aut(g), which maps deficient
+    # vertices to deficient vertices of equal invariants: pairwise-distinct
+    # invariants on them certify that Aut(g) fixes every attachment set,
+    # skipping the canonical labeling
+    autos: tuple[tuple[int, ...], ...] = ()
+    nd = len(deficient)
+    if len({seeds[v] for v in deficient}) < nd:
+        if colors is None:
+            colors = _seeded_colors(g, seeds, nbrs)
+        if len({colors[v] for v in deficient}) < nd:
+            if data is None:
+                data = canonical_data(g, colors)
+            autos = data.automorphisms
     seen: set[frozenset[int]] = set()
     slots_left = n - k - 1
     for d in (1, 2, 3):
-        if d > len(deficient):
+        if d > nd:
             break
         for combo in combinations(deficient, d):
             key = frozenset(combo)
@@ -93,46 +127,54 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], n: int, min_final_deg: int,
                     frozenset(perm[v] for v in combo)
                     for perm in autos
                 }
-            cdegs = list(degs)
+            cdegs = degs + [d]
             for v in combo:
                 cdegs[v] += 1
-            cdegs.append(d)
-            if not _feasible(tuple(cdegs), slots_left, min_final_deg):
+            if not _feasible(cdegs, slots_left, min_final_deg):
+                continue
+            # canonical pick: lexicographically minimal (invariant seed,
+            # refined colour, canonical position) among deletable vertices;
+            # accept iff the new vertex k is in the pick's orbit.  A seed
+            # leads with the degree, and k is always deletable, so a
+            # deletable vertex of lower degree rejects k at once; a leaf is
+            # never a cut vertex.  Orbits never cross invariant classes, so
+            # the cheap layers decide most candidates without the labeling.
+            low = min(cdegs)
+            if d > 1 and low == 1:
                 continue
             cadj = list(g.adj) + [0]
             for v in combo:
                 cadj[v] |= 1 << k
                 cadj[k] |= 1 << v
             child = Graph(k + 1, tuple(cadj))
-            # canonical pick: lexicographically minimal (invariant seed,
-            # refined colour, canonical position) among deletable vertices;
-            # accept iff the new vertex k is in the pick's orbit.  Orbits
-            # never cross invariant classes, so the cheap layers decide
-            # most candidates without the canonical labeling.
-            dels = _deletable(child)
+            ccuts, dels = _deletable(child, cuts, combo)
+            if low < d and any(cdegs[v] < d for v in dels):
+                continue
             cseeds = _pair_seeds(child)
             minseed = min(cseeds[v] for v in dels)
             if cseeds[k] != minseed:
                 continue
+            cnbrs = _child_nbrs(nbrs, combo, k)
             mins0 = [v for v in dels if cseeds[v] == minseed]
             if len(mins0) == 1:
-                _grow(child, _child_nbrs(nbrs, combo, k), n,
+                _grow(child, cnbrs, ccuts, cseeds, None, None, n,
                       min_final_deg, emit)
                 continue
-            cnbrs = _child_nbrs(nbrs, combo, k)
             ccolors = _seeded_colors(child, cseeds, cnbrs)
             minc = min(ccolors[v] for v in mins0)
             if ccolors[k] != minc:
                 continue
             mins = [v for v in mins0 if ccolors[v] == minc]
             if len(mins) == 1:
-                _grow(child, cnbrs, n, min_final_deg, emit)
+                _grow(child, cnbrs, ccuts, cseeds, ccolors, None, n,
+                      min_final_deg, emit)
                 continue
             cdata = canonical_data(child, ccolors)
             position = {v: i for i, v in enumerate(cdata.labeling)}
             pick = min(mins, key=lambda v: position[v])
             if cdata.orbit[pick] == cdata.orbit[k]:
-                _grow(child, cnbrs, n, min_final_deg, emit, cdata)
+                _grow(child, cnbrs, ccuts, cseeds, ccolors, cdata, n,
+                      min_final_deg, emit)
 
 
 def _child_nbrs(nbrs: list[tuple[int, ...]], combo: tuple[int, ...],
@@ -143,6 +185,12 @@ def _child_nbrs(nbrs: list[tuple[int, ...]], combo: tuple[int, ...],
     ]
     out.append(tuple(combo))
     return out
+
+
+def _grow_from_root(n: int, min_final_deg: int, emit: Sink) -> None:
+    root = Graph.from_edges(1, [])
+    _grow(root, [()], 0, _pair_seeds(root), None, None, n, min_final_deg,
+          emit)
 
 
 def generate_cubic(n: int, min_conn: int = 1, sink: Sink | None = None) -> int:
@@ -166,7 +214,7 @@ def generate_cubic(n: int, min_conn: int = 1, sink: Sink | None = None) -> int:
         if sink is not None:
             sink(g)
 
-    _grow(Graph.from_edges(1, []), [()], n, 3, emit)
+    _grow_from_root(n, 3, emit)
     return count
 
 
@@ -184,5 +232,5 @@ def generate_degree23(n: int, sink: Sink | None = None) -> int:
         if sink is not None:
             sink(g)
 
-    _grow(Graph.from_edges(1, []), [()], n, 2, emit)
+    _grow_from_root(n, 2, emit)
     return count

@@ -218,8 +218,13 @@ class _Engine:
                             kids = []
                             break
                         unseen ^= frontier
-                if kids and end is not None and nb != endbit and nb & endbit:
-                    kids.remove(((adj_end & rest).bit_count(), end))
+                if kids and end is not None and nb & endbit:
+                    # end is kept for last; stepping onto it now would
+                    # strand the rest of the unvisited vertices
+                    if nb == endbit:
+                        kids = []
+                    else:
+                        kids.remove(((adj_end & rest).bit_count(), end))
                 kids.sort()
             root = False
             if kids:

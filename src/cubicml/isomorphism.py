@@ -1,8 +1,8 @@
 """Graph isomorphism, canonical forms, and automorphism orbits.
 
 Everything here targets small graphs (at most a few dozen vertices):
-iterated degree/neighbourhood colour refinement, a backtracking matcher for
-pairwise isomorphism, and an individualise-refine canonical form whose leaf
+iterated degree/neighbourhood colour refinement, pairwise invariant
+screens, and an individualise-refine canonical form whose leaf
 enumeration also yields the full automorphism group.  No canonical-form
 cache is kept; callers hash the returned bytes if they need one.
 """
@@ -96,51 +96,6 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     if sorted(seeded_colors(g1, s1)) != sorted(seeded_colors(g2, s2)):
         return False
     return canonical_form(g1) == canonical_form(g2)
-
-
-def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
-    """Explicit vertex mapping g1 -> g2 by refinement plus backtracking,
-    or None.  Independent of the canonical-form machinery; intended for
-    small graphs (regular inputs can degenerate)."""
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return None
-    c1 = color_refine(g1)
-    c2 = color_refine(g2)
-    if sorted(c1) != sorted(c2):
-        return None
-    cells2 = _cells(c2)
-    # Match most-constrained vertices first: small colour classes early.
-    order = sorted(range(g1.n), key=lambda v: (len(cells2[c1[v]]), c1[v], v))
-    image = [-1] * g1.n
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == g1.n:
-            return True
-        v = order[i]
-        nbr_imgs = 0
-        pending = 0
-        for w in bits(g1.adj[v]):
-            if image[w] >= 0:
-                nbr_imgs |= 1 << image[w]
-            else:
-                pending += 1
-        for x in cells2[c1[v]]:
-            if used >> x & 1:
-                continue
-            # x must be adjacent to exactly the images of v's mapped neighbours
-            if g2.adj[x] & used != nbr_imgs:
-                continue
-            image[v] = x
-            used |= 1 << x
-            if extend(i + 1):
-                return True
-            used &= ~(1 << x)
-            image[v] = -1
-        return False
-
-    return list(image) if extend(0) else None
 
 
 @dataclass(frozen=True)

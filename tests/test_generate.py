@@ -1,13 +1,15 @@
 """Isomorph-free generation against an independent generate-and-dedup oracle."""
 
-from itertools import combinations
+import hashlib
+from itertools import combinations, product
 
 import pytest
 
-from cubicml.graph import Graph, GraphError, is_connected, is_cubic, \
-    vertex_connectivity_capped
+from cubicml import generate
+from cubicml.graph import Graph, GraphError, cut_vertices, is_connected, \
+    is_cubic, vertex_connectivity_capped, write_graph6
 from cubicml.isomorphism import canonical_form
-from cubicml.generate import generate_cubic, generate_degree23
+from cubicml.generate import _feasible, generate_cubic, generate_degree23
 
 
 def oracle_maxdeg3_classes(n: int) -> list[Graph]:
@@ -109,3 +111,86 @@ def test_degree23_range_checks():
 def test_cubic_count_n12_matches_dedup_oracle():
     oracle = [g for g in oracle_maxdeg3_classes(12) if is_cubic(g)]
     assert generate_cubic(12) == len(oracle) == 85
+
+
+def _graph6_digest(run) -> str:
+    out: list[Graph] = []
+    run(out.append)
+    return hashlib.sha256(
+        b"".join(write_graph6(g) + b"\n" for g in out)).hexdigest()
+
+
+# sha256 of the emitted graph6 lines, one per line, as first pinned: a
+# change of representative or of order changes the digest
+_PINNED_CUBIC_12 = {
+    1: "08f46463a8d3aedb5a9ed0f9c38acfdab44260e31cde26590b82b7310c674304",
+    2: "5a42dac19b20a4c199505e8a384224f488818f973eff66287965cf27894f3366",
+    3: "7605fdd5c05302ab491b5d2d8964ccc24d8adda3faf925625e7291d5af10717f",
+}
+_PINNED_DEGREE23 = {
+    3: "8e71b38f493557683524eb45ca8f814efe19aa3c9d7e946c42a25658f532618e",
+    4: "9b52d9474eccb7cde09c9157dfdada328151fc00d6b4706cd118eaefd318b387",
+    5: "576d0c341cd6ab04cb2618de2ccb7701aeb61403cbde72f91c3d4528ab38b720",
+    6: "5edf08acf4e373a21ef2d6c7ae1059dde24b1dcec771d3da4e85f58ee0948bd4",
+    7: "4f225714a33bba7bc893c3c89f5586f8e270c67d1e1d2978f277c50558aaeb57",
+    8: "b564a61d67d5993e1f9eb4cdf49e89853324a2bf4f1dff4e03bcbf45f453610e",
+    9: "5b0effbf8b65bfacb2ed6ef46ea3b7a08a0b65c6adb8cb249ed49210bc0d4607",
+    10: "b0661e3f863e32fc963aa093eafa1f70b08fc5e679145ce2657838f1a2da946e",
+}
+
+
+@pytest.mark.parametrize("min_conn", sorted(_PINNED_CUBIC_12))
+def test_cubic_output_pinned(min_conn):
+    digest = _graph6_digest(lambda sink: generate_cubic(12, min_conn, sink))
+    assert digest == _PINNED_CUBIC_12[min_conn]
+
+
+def test_degree23_output_pinned():
+    digests = {n: _graph6_digest(lambda sink: generate_degree23(n, sink))
+               for n in _PINNED_DEGREE23}
+    assert digests == _PINNED_DEGREE23
+
+
+def test_inherited_cut_mask_matches_dfs(monkeypatch):
+    """Every child that reaches the cut test gets the mask a fresh DFS
+    computes, whether it was inherited from the parent or not."""
+    deletable = generate._deletable
+    tried = 0
+
+    def checked(g, cuts, combo):
+        nonlocal tried
+        tried += 1
+        got = deletable(g, cuts, combo)
+        fresh = cut_vertices(g.adj, g.full_mask())
+        assert got == (fresh, [v for v in range(g.n) if not fresh >> v & 1])
+        return got
+
+    monkeypatch.setattr(generate, "_deletable", checked)
+    assert generate_cubic(10) == 19
+    assert generate_degree23(8) == 60
+    assert tried > 0
+
+
+def _feasible_per_vertex(degs, slots, min_final_deg):
+    """The per-vertex form of ``generate._feasible``."""
+    need = sum(max(0, min_final_deg - d) for d in degs)
+    if need > 3 * slots:
+        return False
+    if any(min_final_deg - d > slots for d in degs):
+        return False
+    if min_final_deg == 3:
+        deficit = sum(3 - d for d in degs)
+        if (deficit - slots) % 2:
+            return False
+    return True
+
+
+def test_feasible_matches_per_vertex_formula():
+    # every state of the generator has at least one vertex
+    for size in range(1, 8):
+        for degs in product(range(4), repeat=size):
+            for slots in range(9):
+                for min_final_deg in (2, 3):
+                    assert _feasible(degs, slots, min_final_deg) == \
+                        _feasible_per_vertex(degs, slots, min_final_deg), \
+                        (degs, slots, min_final_deg)
