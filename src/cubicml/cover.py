@@ -190,13 +190,6 @@ def optimize_cover(g: Graph, c: VdpCover,
     return out
 
 
-def has_exchange_join(g: Graph, c: VdpCover) -> bool:
-    """True iff some path Q can still be joined to a path P with
-    |P| <= |Q| at an endvertex of Q (merge or segment transfer)."""
-    paths = list(c.paths)
-    return _merge_once(g, list(paths)) or _exchange_once(g, list(paths))
-
-
 def reroute_short_path(g: Graph, c: VdpCover, i: int,
                        budget: SearchBudget = UNLIMITED,
                        target_ok=None) -> AttachmentPlan:

@@ -154,31 +154,6 @@ def is_cubic(g: Graph) -> bool:
     return g.n > 0 and all(a.bit_count() == 3 for a in g.adj)
 
 
-def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in bits(g.adj[u]):
-                if color[w] == -1:
-                    color[w] = color[u] ^ 1
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
-
-
-def components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
-    dmask = mask_of(deleted)
-    if dmask & ~g.full_mask():
-        raise GraphError("deletion set out of vertex range")
-    return len(connected_components(g, g.full_mask() & ~dmask))
-
-
 def _is_complete(g: Graph) -> bool:
     return all(g.adj[v] == g.full_mask() ^ (1 << v) for v in range(g.n))
 

@@ -1,9 +1,10 @@
-"""Exact hamiltonian path/cycle queries with structural pruning.
+"""Exact hamiltonian path/cycle and path cover queries with structural
+pruning.
 
 One backtracking engine serves every query flavour: free endpoints, fixed
-start, fixed endpoint pair and cycle closure.  The J-cell recognizer asks
-only fixed-pair queries, on H, on H minus a vertex, and on either plus one
-connector vertex.  Verdicts are exact; a node budget can cut a search
+start, fixed endpoint pair, cycle closure, and path covers.  The J-cell
+recognizer asks only fixed-pair queries, on H, on H minus a vertex, and on
+either plus one connector vertex.  Verdicts are exact; a node budget can cut a search
 short, in which case the result is indeterminate rather than wrong.
 
 Free-endpoint paths and cycles share one anchored driver.  It searches
@@ -33,10 +34,28 @@ one.  Only the root of a search (whose rest may be disconnected) spreads
 over the whole rest.  The search runs on an explicit stack, so path length
 is not bounded by the interpreter's recursion limit.
 
-The two whole-graph queries, ``has_ham_path`` and ``has_ham_cycle``, keep
-their YES and NO results in a small memo keyed by the query and the
-adjacency tuple, since the ml and mu ladders and the cover pipeline ask
-them again of the same graph.  It holds at most 32 entries and drops the
+A leg cover (``has_leg_cover``) covers V by at most p vertex-disjoint
+paths ("legs"), built one after another under a start rule:
+  * free: each leg contains u, the smallest unvisited vertex, and grows
+    from u one way, then after an "end" choice from u the other way.  The
+    second half needs a non-empty first half and a first vertex above the
+    first half's, so each cover is found once;
+  * attached (``exact`` joins the legs into a tree): the first leg is built
+    the same way from vertex 0; every later leg starts at an unvisited
+    neighbour of the visited vertices and grows one way.
+Let L be the number of legs still to start and e the number of open ends
+(none between legs; else the current end, and u during a first half, each
+if it has an unvisited neighbour).  Each of them covers part of one component of the unvisited
+rest and has at most two vertices of residual degree <= 1, so a node dies
+when the rest has more than L + e components or more than 2(L + e) such
+vertices.  Children go by (residual degree, vertex), then "end".  The
+component count is kept like the low mask, around the vertex just added.
+
+The whole-graph queries, ``has_ham_path``, ``has_ham_cycle`` and
+``has_leg_cover``, keep their YES and NO results in a small memo keyed by
+the query (with p and the start rule for a leg cover) and the adjacency
+tuple, since the ml and mu ladders and the cover pipeline ask them again of
+the same graph.  It holds at most 32 entries and drops the
 oldest first; an INDETERMINATE result is never kept.  A kept result is
 served only when the budget is unlimited or at least its node count.  The
 engine is deterministic and gives up only once its count exceeds the
@@ -82,7 +101,7 @@ UNLIMITED = SearchBudget()
 @dataclass(frozen=True)
 class SearchResult:
     status: Status
-    witness: tuple[int, ...] | None = None
+    witness: tuple | None = None  # a path, or the legs of a leg cover
     nodes: int = 0
 
     def __bool__(self) -> bool:
@@ -125,6 +144,18 @@ class _Engine:
             return tuple(self.path)
         return None
 
+    def anchored(self, prefix: list[int], choices: int) -> tuple[int, ...] | None:
+        """Hamiltonian path ``prefix + [s, ..., t]`` with s < t both in
+        ``choices``, trying each s in ascending order."""
+        for s in bits(choices):
+            end_mask = choices >> s + 1 << s + 1
+            if not end_mask:
+                break
+            self.path = prefix + [s]
+            if self.search(None, end_mask):
+                return tuple(self.path)
+        return None
+
     def search(self, end: int | None, end_mask: int) -> bool:
         """Extend ``self.path`` to a hamiltonian path of ``full``.
 
@@ -147,13 +178,7 @@ class _Engine:
         adj_end = 0 if end is None else adj[end]
         # the final vertex must lie in last_ok; the rest must meet end_mask
         last_ok = end_mask if end is None else endbit
-        low = 0  # unvisited vertices with residual degree <= 1
-        m = rest
-        while m:
-            b = m & -m
-            if (adj[b.bit_length() - 1] & rest).bit_count() <= 1:
-                low |= b
-            m ^= b
+        low = _low(adj, rest, rest)  # unvisited, residual degree <= 1
         cur = path[-1]
         root = True
         stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
@@ -247,21 +272,169 @@ class _Engine:
             rest ^= b
             low &= ~b
 
+    def legs(self, p: int, attached: bool) -> tuple[tuple[int, ...], ...] | None:
+        """At most ``p`` legs covering ``full`` under the free or the
+        attached start rule (see the module docstring).  ``trail`` lists
+        the visited vertices in order, with -1 where a leg turns back to its
+        anchor u and -2 where a leg closes."""
+        adj = self.adj
+        max_nodes = self.max_nodes
+        nodes = self.nodes
+        rest = self.full & ~1
+        low = _low(adj, rest, rest)
+        comps = _pieces(adj, rest, rest)
+        reach = adj[0]
+        left, phase, u, cur, a1 = p - 1, 1, 0, 0, -1
+        trail = [0]
+        stack: list[tuple] = []
+        while True:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                self.nodes = nodes
+                raise _BudgetExhausted
+            if not rest:
+                self.nodes = nodes
+                return _split_trail(trail)
+            # open ends: the current end, and u during a first half
+            if phase:
+                nb = adj[cur] & rest
+                if phase == 2 and cur == u and a1 >= 0:
+                    nb &= -2 << a1  # a second half starts above a1
+                room = left + (nb != 0) + (phase == 1 and adj[u] & rest != 0)
+            else:  # between legs: where the next one may start
+                nb = reach & rest if attached else rest & -rest
+                room = left
+            kids: list[tuple[int, int]] = []
+            if comps <= room and low.bit_count() <= 2 * room:
+                kids = sorted([((adj[v] & rest).bit_count(), v)
+                               for v in bits(nb)])
+                if phase and (left or phase == 1 and cur != u):
+                    kids.append((0, -1))  # end the half or the leg
+            if kids:
+                stack.append((rest, low, comps, reach, left, phase, u, a1,
+                              cur, len(trail), iter(kids)))
+            while stack:
+                kid = next(stack[-1][-1], None)
+                if kid is not None:
+                    break
+                stack.pop()
+            else:
+                self.nodes = nodes
+                return None
+            (rest, low, comps, reach, left, phase, u, a1, cur, depth,
+             _) = stack[-1]
+            del trail[depth:]
+            v = kid[1]
+            if v < 0:
+                if phase == 1 and cur != u:  # turn back to grow from u
+                    phase, cur = 2, u
+                    trail.append(-1)
+                else:  # close the leg
+                    phase = 0
+                    trail.append(-2)
+                continue
+            if not phase:
+                left -= 1
+                phase, u, a1 = 2 if attached else 1, v, -1
+            elif phase == 1 and cur == u:
+                a1 = v
+            cur = v
+            trail.append(v)
+            rest ^= 1 << v
+            low &= rest
+            reach |= adj[v]
+            nb = adj[v] & rest
+            low |= _low(adj, nb, rest)
+            comps += _pieces(adj, nb, rest) - 1
 
-def _check_witness(g: Graph, kind: str, w: tuple[int, ...]) -> None:
+
+def _pieces(adj: tuple[int, ...], nb: int, rest: int) -> int:
+    """Number of components of ``rest`` that meet ``nb``.  A spread from
+    one vertex of ``nb`` stops as soon as it has reached all the others."""
+    count = 0
+    while nb:
+        count += 1
+        frontier = nb & -nb
+        unseen = rest ^ frontier
+        while frontier and nb & unseen:
+            grow = 0
+            while frontier:
+                b = frontier & -frontier
+                grow |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = grow & unseen
+            unseen ^= frontier
+        nb &= unseen
+    return count
+
+
+def _low(adj: tuple[int, ...], among: int, rest: int) -> int:
+    """The vertices of ``among`` with at most one neighbour in ``rest``."""
+    low = 0
+    while among:
+        b = among & -among
+        if (adj[b.bit_length() - 1] & rest).bit_count() <= 1:
+            low |= b
+        among ^= b
+    return low
+
+
+def _split_trail(trail: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The legs of a ``_Engine.legs`` trail, each in path order."""
+    legs: list[tuple[int, ...]] = []
+    leg: list[int] = []
+    for v in trail + [-2]:
+        if v == -2:
+            legs.append(tuple(leg))
+            leg = []
+        elif v == -1:  # the second half grows on from u
+            leg.reverse()
+        else:
+            leg.append(v)
+    return tuple(legs)
+
+
+def check_legs_witness(g: Graph, legs: tuple[tuple[int, ...], ...], p: int,
+                       attached: bool) -> bool:
+    """Mechanical validation of a leg cover: at most ``p`` paths of ``g``
+    that partition V, each attached one starting next to an earlier leg."""
+    if len(legs) > p or sorted(v for leg in legs for v in leg) != list(range(g.n)):
+        return False
+    seen = 0
+    for leg in legs:
+        if not all(g.has_edge(a, b) for a, b in zip(leg, leg[1:])):
+            return False
+        if attached and seen and not g.adj[leg[0]] & seen:
+            return False
+        seen |= mask_of(leg)
+    return True
+
+
+def _check_witness(g: Graph, kind: str | tuple[str, int], w: tuple) -> None:
     if kind == "cycle":
         require_witness(check_path_witness(g, w) and g.has_edge(w[-1], w[0]),
                         "hamiltonian cycle")
-    else:
+    elif kind == "path":
         require_witness(check_path_witness(g, w), "hamiltonian path")
+    else:
+        rule, p = kind
+        require_witness(check_legs_witness(g, w, p, rule == "attached"),
+                        f"{rule} cover by {p} legs")
 
 
-def _result(g: Graph, engine: _Engine, path: tuple[int, ...] | None,
-            kind: str = "path") -> SearchResult:
-    if path is None:
+def _run(g: Graph, budget: SearchBudget,
+         find: Callable[[_Engine], tuple | None],
+         kind: str | tuple[str, int] = "path") -> SearchResult:
+    """``find`` on a fresh engine, its witness checked, as a result."""
+    engine = _Engine(g, budget)
+    try:
+        w = find(engine)
+    except _BudgetExhausted:
+        return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
+    if w is None:
         return SearchResult(Status.NO, nodes=engine.nodes)
-    _check_witness(g, kind, path)
-    return SearchResult(Status.YES, path, engine.nodes)
+    _check_witness(g, kind, w)
+    return SearchResult(Status.YES, w, engine.nodes)
 
 
 def has_ham_path_from(g: Graph, start: int,
@@ -271,11 +444,7 @@ def has_ham_path_from(g: Graph, start: int,
         raise GraphError(f"start vertex {start} out of range")
     if not is_connected(g):
         return SearchResult(Status.NO)
-    engine = _Engine(g, budget)
-    try:
-        return _result(g, engine, engine.run(start, None))
-    except _BudgetExhausted:
-        return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
+    return _run(g, budget, lambda e: e.run(start, None))
 
 
 def has_ham_path_between(g: Graph, a: int, b: int,
@@ -287,19 +456,16 @@ def has_ham_path_between(g: Graph, a: int, b: int,
         raise GraphError("endpoint out of range")
     if not is_connected(g):
         return SearchResult(Status.NO)
-    engine = _Engine(g, budget)
-    try:
-        return _result(g, engine, engine.run(a, b))
-    except _BudgetExhausted:
-        return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
+    return _run(g, budget, lambda e: e.run(a, b))
 
 
 _MEMO_CAP = 32
-_memo: dict[tuple[str, tuple[int, ...]], SearchResult] = {}
+_memo: dict[tuple[object, tuple[int, ...]], SearchResult] = {}
 _memo_lock = threading.Lock()
 
 
-def _memoised(kind: str, search: Callable[[Graph, SearchBudget], SearchResult],
+def _memoised(kind: str | tuple[str, int],
+              search: Callable[[Graph, SearchBudget], SearchResult],
               g: Graph, budget: SearchBudget) -> SearchResult:
     """``search(g, budget)``, or the kept answer it would return."""
     key = (kind, g.adj)
@@ -336,7 +502,7 @@ def _ham_path(g: Graph, budget: SearchBudget) -> SearchResult:
         return SearchResult(Status.NO)
     if g.n == 1:
         return SearchResult(Status.YES, (0,))
-    return _anchored(g, budget, "path", [], g.full_mask())
+    return _run(g, budget, lambda e: e.anchored([], g.full_mask()))
 
 
 def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
@@ -353,25 +519,19 @@ def _ham_cycle(g: Graph, budget: SearchBudget) -> SearchResult:
         raise GraphError("hamiltonian cycle needs at least 3 vertices")
     if not is_connected(g):
         return SearchResult(Status.NO)
-    return _anchored(g, budget, "cycle", [0], g.adj[0])
+    return _run(g, budget, lambda e: e.anchored([0], g.adj[0]), "cycle")
 
 
-def _anchored(g: Graph, budget: SearchBudget, kind: str, prefix: list[int],
-              choices: int) -> SearchResult:
-    """Hamiltonian path ``prefix + [s, ..., t]`` with s < t both in
-    ``choices``, trying each s in ascending order."""
-    engine = _Engine(g, budget)
-    try:
-        for s in bits(choices):
-            end_mask = choices >> s + 1 << s + 1
-            if not end_mask:
-                break
-            engine.path = prefix + [s]
-            if engine.search(None, end_mask):
-                return _result(g, engine, tuple(engine.path), kind)
-        return _result(g, engine, None)
-    except _BudgetExhausted:
-        return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
+def has_leg_cover(g: Graph, p: int, attached: bool = False,
+                  budget: SearchBudget = UNLIMITED) -> SearchResult:
+    """At most ``p`` vertex-disjoint paths covering V(g), the first through
+    vertex 0; with ``attached`` each later one starts next to an earlier
+    one.  The witness lists the legs in the order they were built."""
+    if p < 1 or g.n == 0:
+        raise GraphError("a leg cover needs a vertex and at least one leg")
+    kind = ("attached" if attached else "free", p)
+    return _memoised(kind, lambda h, b: _run(
+        h, b, lambda e: e.legs(p, attached), kind), g, budget)
 
 
 # --- J-cells --------------------------------------------------------------

@@ -13,11 +13,18 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+MAX_DRAWS = 10_000
+
+
 def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    while True:
+    """First connected draw of ``random_graph(rng, n, p)``; raises after
+    ``MAX_DRAWS`` disconnected ones, since a small p may never connect."""
+    for _ in range(MAX_DRAWS):
         g = random_graph(rng, n, p)
         if is_connected(g):
             return g
+    raise ValueError(f"no connected graph on n={n} with p={p} "
+                     f"in {MAX_DRAWS} draws")
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -60,3 +67,24 @@ def prism(k: int) -> Graph:
     return Graph.from_edges(2 * k, [(i, (i + 1) % k) for i in range(k)]
                             + [(k + i, k + (i + 1) % k) for i in range(k)]
                             + [(i, k + i) for i in range(k)])
+
+
+
+def gadget_caterpillar(leaves: int) -> Graph:
+    """T_L for L = ``leaves`` >= 3: a caterpillar with L leaves whose L - 2
+    spine vertices have degree 3, each leaf replaced by a K4 with one edge
+    subdivided and hung from the subdivision vertex by a bridge.  Cubic and
+    1-connected on 6L - 2 vertices; every gadget holds a leaf of each
+    spanning tree and an end of each path cover, so ml >= L and
+    mu >= ceil(L / 2)."""
+    assert leaves >= 3
+    spine = leaves - 2
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for hook in range(spine):
+        for _ in range(3 - (hook > 0) - (hook < spine - 1)):
+            s, a, b, c, d = range(n, n + 5)
+            edges += [(hook, s), (s, a), (s, b), (a, c), (a, d), (b, c),
+                      (b, d), (c, d)]
+            n += 5
+    return Graph.from_edges(n, edges)

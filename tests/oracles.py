@@ -6,7 +6,18 @@ means, so a test can check one against the other.
 
 from __future__ import annotations
 
-from cubicml.graph import Graph, bits
+from typing import Callable, Iterable, Iterator
+
+from cubicml.cover import VdpCover, _exchange_once, _merge_once
+from cubicml.exact import SpanningTree
+from cubicml.graph import (
+    Graph,
+    GraphError,
+    bits,
+    connected_components,
+    is_connected,
+    mask_of,
+)
 from cubicml.isomorphism import color_refine
 
 
@@ -52,3 +63,144 @@ def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
         return False
 
     return list(image) if extend(0) else None
+
+
+def count_spanning_trees(g: Graph) -> int:
+    """Kirchhoff's theorem via fraction-free integer elimination.
+
+    Any cofactor of the Laplacian works; we drop the last row and column
+    and run Bareiss elimination, which stays in exact big integers.
+    """
+    n = g.n
+    if n == 0:
+        raise GraphError("spanning tree count of the empty graph is undefined")
+    if n == 1:
+        return 1
+    m = [[0] * (n - 1) for _ in range(n - 1)]
+    for v in range(n - 1):
+        m[v][v] = g.degree(v)
+        for w in bits(g.adj[v]):
+            if w < n - 1:
+                m[v][w] = -1
+    prev = 1
+    for k in range(n - 2):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n - 1) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            for row in m:
+                row[k], row[swap] = row[swap], row[k]
+        for i in range(k + 1, n - 1):
+            for j in range(k + 1, n - 1):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return m[n - 2][n - 2]
+
+
+def enumerate_spanning_trees(
+    g: Graph, visit: Callable[[SpanningTree], bool] | None = None
+) -> Iterator[SpanningTree]:
+    """Yield every spanning tree exactly once.
+
+    Classic contraction/deletion branching on one edge at a time: each tree
+    either uses the pivot edge or does not, and the two branches never
+    produce the same tree.  If ``visit`` is given it is called on each tree
+    and a False return stops the enumeration early.
+    """
+    if not is_connected(g) or g.n == 0:
+        return
+    trees: list[SpanningTree] = []
+
+    # work on a mutable multigraph of (endpoint labels of contracted blobs)
+    def recurse(edges: list[tuple[int, int, tuple[int, int]]],
+                chosen: list[tuple[int, int]], nblobs: int) -> bool:
+        # edges: (blob_u, blob_v, original_edge); labels: blob id per vertex
+        if nblobs == 1:
+            trees.append(SpanningTree.from_edges(g.n, list(chosen)))
+            return visit is None or visit(trees[-1])
+        u0, v0, orig = edges[0]
+        # branch 1: contract the pivot (tree uses orig)
+        new_edges = []
+        for (a, b, e) in edges[1:]:
+            if a == v0:
+                a = u0
+            if b == v0:
+                b = u0
+            if a != b:
+                new_edges.append((a, b, e))
+        chosen.append(orig)
+        if not recurse(new_edges, chosen, nblobs - 1):
+            return False
+        chosen.pop()
+        # branch 2: delete the pivot; only sound if still connected
+        rest = edges[1:]
+        if _blob_connected(rest, nblobs):
+            if not recurse(rest, chosen, nblobs):
+                return False
+        return True
+
+    def _blob_connected(edges: list[tuple[int, int, tuple[int, int]]],
+                        nblobs: int) -> bool:
+        present = {b for (a, c, _) in edges for b in (a, c)}
+        if len(present) < nblobs:
+            return False
+        adjm: dict[int, set[int]] = {b: set() for b in present}
+        for a, b, _ in edges:
+            adjm[a].add(b)
+            adjm[b].add(a)
+        start = next(iter(present))
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adjm[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen) == nblobs
+
+    base = [(u, v, (u, v)) for u, v in g.edges]
+    recurse(base, [], g.n)
+    yield from trees
+
+
+def is_bipartite(g: Graph) -> bool:
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in bits(g.adj[u]):
+                if color[w] == -1:
+                    color[w] = color[u] ^ 1
+                    stack.append(w)
+                elif color[w] == color[u]:
+                    return False
+    return True
+
+
+def components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
+    dmask = mask_of(deleted)
+    if dmask & ~g.full_mask():
+        raise GraphError("deletion set out of vertex range")
+    return len(connected_components(g, g.full_mask() & ~dmask))
+
+
+def mu_lower_bound_deletion(g: Graph, deleted: Iterator[int] | list[int]) -> int:
+    """Component-count bound: deleting d vertices that splits the graph into
+    c components forces at least c - d paths in any cover."""
+    dset = list(deleted)
+    c = components_after_deletion(g, dset)
+    return max(1, c - len(dset))
+
+
+def has_exchange_join(g: Graph, c: VdpCover) -> bool:
+    """True iff some path Q can still be joined to a path P with
+    |P| <= |Q| at an endvertex of Q (merge or segment transfer)."""
+    paths = list(c.paths)
+    return _merge_once(g, list(paths)) or _exchange_once(g, list(paths))

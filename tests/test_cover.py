@@ -11,7 +11,6 @@ from cubicml.cover import (
     CoverError,
     LongPathError,
     VdpCover,
-    has_exchange_join,
     initial_vdp_cover,
     optimize_cover,
     reroute_short_path,
@@ -19,6 +18,7 @@ from cubicml.cover import (
 )
 from cubicml.exact import min_leaf_number, path_cover_number
 from conftest import random_cubic_graph
+from oracles import has_exchange_join
 
 
 def cycle(n: int) -> Graph:

@@ -5,19 +5,26 @@ from itertools import combinations
 
 import pytest
 
-from cubicml.graph import Graph, GraphError, is_connected
-from cubicml.hamsearch import SearchBudget, Status
+from cubicml.graph import Graph, GraphError, is_connected, parse_graph6
+from cubicml.hamsearch import SearchBudget, Status, has_leg_cover
 from cubicml.exact import (
     SpanningTree,
-    count_spanning_trees,
-    enumerate_spanning_trees,
     has_path_cover_le_k,
     has_tree_le_k_leaves,
     min_leaf_number,
-    mu_lower_bound_deletion,
     path_cover_number,
 )
-from conftest import random_connected_graph, random_graph
+from conftest import (
+    gadget_caterpillar,
+    prism,
+    random_connected_graph,
+    random_graph,
+)
+from oracles import (
+    count_spanning_trees,
+    enumerate_spanning_trees,
+    mu_lower_bound_deletion,
+)
 
 
 def complete(n: int) -> Graph:
@@ -132,9 +139,9 @@ def test_min_leaf_number_known_values():
 
 def test_min_leaf_number_matches_enumeration_oracle():
     rng = random.Random(22)
-    for _ in range(60):
-        n = rng.randint(2, 8)
-        g = random_connected_graph(rng, n, 0.45)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        g = random_connected_graph(rng, n, rng.uniform(0.2, 0.6))
         result = min_leaf_number(g)
         assert result.status is Status.YES
         assert result.value == oracle_min_leaves(g)
@@ -164,9 +171,9 @@ def test_path_cover_number_known_values():
 
 def test_path_cover_matches_brute_force():
     rng = random.Random(23)
-    for _ in range(40):
+    for _ in range(150):
         n = rng.randint(2, 7)
-        g = random_graph(rng, n, 0.35)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.6))
         result = path_cover_number(g)
         assert result.value == oracle_path_cover(g)
         covered = sorted(v for p in result.paths for v in p)
@@ -208,3 +215,56 @@ def test_budget_propagates_to_indeterminate():
     r = min_leaf_number(g, SearchBudget(max_nodes=2))
     assert r.status is Status.INDETERMINATE
     assert r.value is None and r.lower_bound is not None
+
+
+def test_random_connected_graph_gives_up_on_a_tiny_edge_probability():
+    with pytest.raises(ValueError, match="n=9 with p=0.02"):
+        random_connected_graph(random.Random(1), 9, 0.02)
+
+
+# --- rungs decided by one leg cover ----------------------------------------
+
+# A relabeled cycle_of_edge_deleted_petersen(3) from the analyze-stream
+# benchmark: its 2-path cover found first does not join into a 3-leaf tree.
+_PETERSEN_CYCLE = ("]?C?C@@??C_`o?O????K???GGO@__@O@?O?_@?O@??H?G@?_?A??G??_?O"
+                   "?g?A_??@??CA??OG")
+
+
+def test_ml_of_a_petersen_cycle_within_budget():
+    g = parse_graph6(_PETERSEN_CYCLE)
+    r = min_leaf_number(g, SearchBudget(200_000))
+    assert r.status is Status.YES and r.value == 3
+    assert r.tree.validate(g) and r.tree.leaf_count == 3
+
+
+@pytest.mark.parametrize("leaves", [5, 6])
+def test_mu_of_gadget_caterpillars_within_budget(leaves):
+    g = gadget_caterpillar(leaves)
+    r = path_cover_number(g, SearchBudget(200_000))
+    assert r.status is Status.YES and r.value == 3
+    assert sorted(v for p in r.paths for v in p) == list(range(g.n))
+
+
+@pytest.mark.parametrize("leaves", [5, 6, 7])
+def test_two_leg_refutation_of_gadget_caterpillars_pinned(leaves):
+    # pinned, like the single-path search trees: a change to the leg
+    # search's pruning or child order shows up here
+    r = has_leg_cover(gadget_caterpillar(leaves), 2)
+    assert r.status is Status.NO and r.nodes == 3_543
+
+
+def test_bridged_long_prisms_need_no_recursion():
+    # a centre joined by bridges to three prisms on 498 vertices, each with
+    # the edge (0, 1) subdivided: n = 1,498
+    edges = []
+    n = 1
+    for _ in range(3):
+        edges += [(n + a, n + b) for a, b in prism(249).edges if (a, b) != (0, 1)]
+        s = n + 498
+        edges += [(n, s), (n + 1, s), (0, s)]
+        n = s + 1
+    g = Graph.from_edges(n, edges)
+    status, tree = has_tree_le_k_leaves(g, 3)
+    assert status is Status.YES and tree.leaf_count == 3 and tree.validate(g)
+    status, paths = has_path_cover_le_k(g, 2)
+    assert status is Status.YES and len(paths) == 2

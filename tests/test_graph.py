@@ -12,12 +12,10 @@ from cubicml.graph import (
     Graph6Error,
     GraphError,
     bits,
-    components_after_deletion,
     connected_components,
     cut_vertices,
     degree_profile,
     induced_subgraph,
-    is_bipartite,
     is_connected,
     is_cubic,
     mask_of,
@@ -28,6 +26,7 @@ from cubicml.graph import (
     write_graph6,
 )
 from conftest import random_graph
+from oracles import components_after_deletion, is_bipartite
 
 
 def k4() -> Graph:

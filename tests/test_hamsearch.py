@@ -24,6 +24,7 @@ from cubicml.hamsearch import (
     has_ham_path,
     has_ham_path_between,
     has_ham_path_from,
+    has_leg_cover,
     is_jcell,
     _with_connector,
 )
@@ -270,11 +271,16 @@ from cubicml.graph import Graph, WitnessError
 if __debug__:
     raise SystemExit("not running under -O")
 hs.check_path_witness = lambda g, path: False
-try:
-    hs.has_ham_path(Graph.from_edges(3, [(0, 1), (1, 2)]))
-except WitnessError:
-    raise SystemExit(0)
-raise SystemExit("invalid witness returned")
+hs.check_legs_witness = lambda g, legs, p, attached: False
+star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+for query in (lambda: hs.has_ham_path(Graph.from_edges(3, [(0, 1), (1, 2)])),
+              lambda: hs.has_leg_cover(star, 2),
+              lambda: hs.has_leg_cover(star, 2, True)):
+    try:
+        query()
+    except WitnessError:
+        continue
+    raise SystemExit("invalid witness returned")
 """
 
 
@@ -338,6 +344,8 @@ _QUERIES = {
     "cycle": has_ham_cycle,
     "from": lambda g, b: has_ham_path_from(g, 0, b),
     "between": lambda g, b: has_ham_path_between(g, 0, g.n - 1, b),
+    "free legs": lambda g, b: has_leg_cover(g, 2, False, b),
+    "attached legs": lambda g, b: has_leg_cover(g, 2, True, b),
 }
 
 
@@ -401,7 +409,8 @@ def _fresh(query, g, budget):
 def test_memo_serves_what_a_fresh_search_returns(g, budgets):
     # an unlimited search first, so that every later budget, small ones
     # included, meets a kept answer
-    for query in (has_ham_path, has_ham_cycle):
+    for query in (has_ham_path, has_ham_cycle, _QUERIES["free legs"],
+                  _QUERIES["attached legs"]):
         for max_nodes in [None, *budgets]:
             budget = SearchBudget(max_nodes)
             assert query(g, budget) == _fresh(query, g, budget)
