@@ -460,7 +460,7 @@ def has_ham_path_between(g: Graph, a: int, b: int,
 
 
 _MEMO_CAP = 32
-_memo: dict[tuple[object, tuple[int, ...]], SearchResult] = {}
+_memo: dict[tuple[str | tuple[str, int], tuple[int, ...]], SearchResult] = {}
 _memo_lock = threading.Lock()
 
 
