@@ -23,11 +23,11 @@ decides it ends the work on it:
 5. labeling: ``canonical_data``, only when the least colour is tied.
 
 An accepted child keeps what its test computed, and its own children are
-tried from that: the cut mask (inherited without a DFS when the new vertex
-is pendant, or joins a parent that had no cut vertex), the seeds, the
-colours and the canonical data when they were computed.  The colours and
-the automorphism group of a state are computed only when the seeds, and
-then the colours, leave two attachment candidates tied.
+tried from that: the cut mask (a child's cut vertices are its parent's that
+still cut, plus the neighbour of a pendant new vertex, so no DFS runs), the
+seeds, the colours and the canonical data when they were computed.  The
+colours and the automorphism generators of a state are computed only when
+the seeds, and then the colours, leave two attachment candidates tied.
 
 Intended scale: cubic up to n = 20, degree-{2,3} up to n = 13.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .graph import Graph, GraphError, cut_vertices, vertex_connectivity_capped
+from .graph import Graph, GraphError, bits, spread, vertex_connectivity_capped
 from .isomorphism import CanonicalData, canonical_data, \
     pair_seeds as _pair_seeds, seeded_colors as _seeded_colors
 
@@ -55,13 +55,22 @@ def _deletable(g: Graph, cuts: int,
     A pendant vertex makes its neighbour a cut vertex (once a third vertex
     exists) and leaves every other vertex as it was.  A vertex with two or
     more neighbours only joins blocks, so cut vertices can only disappear:
-    none remain when the parent had none, and only otherwise does a DFS run.
+    each parent cut vertex w stays one exactly when ``g`` - w is
+    disconnected, which one spread from the new vertex tells.
     """
     if len(combo) == 1:
         if g.n > 2:
             cuts |= 1 << combo[0]
     elif cuts:
-        cuts = cut_vertices(g.adj, g.full_mask())
+        adj = g.adj
+        full = g.full_mask()
+        new = 1 << (g.n - 1)
+        kept = 0
+        for w in bits(cuts):
+            rest = full ^ (1 << w)
+            if spread(adj, new, rest) != rest:
+                kept |= 1 << w
+        cuts = kept
     return cuts, [v for v in range(g.n) if not cuts >> v & 1]
 
 
@@ -100,8 +109,9 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
         return
     degs = [len(nb) for nb in nbrs]
     deficient = [v for v in range(k) if degs[v] < 3]
-    # attachment sets are deduplicated up to Aut(g), which maps deficient
-    # vertices to deficient vertices of equal invariants: pairwise-distinct
+    # attachment sets are deduplicated up to Aut(g), each set's orbit
+    # closed under the generators; Aut(g) maps deficient vertices to
+    # deficient vertices of equal invariants, so pairwise-distinct
     # invariants on them certify that Aut(g) fixes every attachment set,
     # skipping the canonical labeling
     autos: tuple[tuple[int, ...], ...] = ()
@@ -123,10 +133,15 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
             if key in seen:
                 continue
             if autos:
-                seen |= {
-                    frozenset(perm[v] for v in combo)
-                    for perm in autos
-                }
+                seen.add(key)
+                todo = [key]
+                while todo:
+                    part = todo.pop()
+                    for perm in autos:
+                        img = frozenset([perm[v] for v in part])
+                        if img not in seen:
+                            seen.add(img)
+                            todo.append(img)
             cdegs = degs + [d]
             for v in combo:
                 cdegs[v] += 1

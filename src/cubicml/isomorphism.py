@@ -2,14 +2,16 @@
 
 Everything here targets small graphs (at most a few dozen vertices):
 iterated degree/neighbourhood colour refinement, pairwise invariant
-screens, and an individualise-refine canonical form whose leaf
-enumeration also yields the full automorphism group.  No canonical-form
-cache is kept; callers hash the returned bytes if they need one.
+screens, and an individualise-refine canonical form whose search also
+yields generators of the automorphism group, which in turn prune the
+search.  No canonical-form cache is kept; callers hash the returned bytes
+if they need one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graph import Graph, bits
 
@@ -102,7 +104,8 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 class CanonicalData:
     form: bytes
     labeling: tuple[int, ...]  # labeling[position] = original vertex
-    automorphisms: tuple[tuple[int, ...], ...]  # full group, as images per vertex
+    # generators of the group and the identity, as images per vertex
+    automorphisms: tuple[tuple[int, ...], ...]
     orbit: tuple[int, ...]  # orbit[v] = smallest vertex in v's orbit
 
 
@@ -128,11 +131,23 @@ def _leaf_form(g: Graph, lab: list[int]) -> bytes:
 
 def canonical_data(g: Graph,
                    initial_colors: tuple[int, ...] | None = None) -> CanonicalData:
-    """Canonical form by individualise-refine; leaves also give Aut(g).
+    """Canonical form by individualise-refine, pruned by automorphisms.
 
-    Every leaf whose form equals the first leaf's form corresponds to one
-    automorphism, and all automorphisms appear this way, so the returned
-    group and orbit partition are exact.
+    The form is the largest leaf form, and the labeling the first leaf in
+    depth-first order that attains it.  A leaf whose form equals the first
+    leaf's gives an automorphism, kept as a generator.  Two prunings skip
+    only subtrees that are automorphic images of subtrees explored before
+    them, so the first maximal leaf is always visited:
+
+    - a child in the same orbit as an explored sibling, under the
+      generators that fix the node's prefix pointwise, is skipped;
+    - after an automorphism is found, the search goes back to the node of
+      the first path where the leaf's path left it: the rest of that
+      child's subtree is the image of the first child's (McKay 1981).
+
+    Every node of the first path so reaches the orbit of its first child
+    under the stabiliser of its prefix, so the generators generate the full
+    group and the orbit partition is exact.
 
     ``initial_colors`` may carry any isomorphism-invariant vertex colouring
     (it must be computed from the graph alone); the colour-respecting
@@ -143,45 +158,76 @@ def canonical_data(g: Graph,
     if n == 0:
         return CanonicalData(b"", (), ((),), ())
     nbrs = [tuple(bits(a)) for a in g.adj]
+    mark = n  # colour id outside the normalised 0..ncls-1 range
     first_form: bytes | None = None
     first_lab: list[int] = []
+    first_path: list[int] = []
     best_form: bytes | None = None
     best_lab: list[int] = []
-    autos: list[tuple[int, ...]] = []
-
-    def descend(colors: tuple[int, ...]) -> None:
-        nonlocal first_form, best_form, first_lab, best_lab
+    gens: list[tuple[int, ...]] = []
+    # stack[i] is the open node whose prefix is path[:i]: its colours, an
+    # iterator over its target cell, and its explored children
+    stack: list[tuple[tuple[int, ...], Iterator[int], list[int]]] = []
+    path: list[int] = []
+    colors = initial_colors
+    while True:
         colors = color_refine(g, colors, nbrs)
         cells = _cells(colors)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            lab = sorted(range(n), key=lambda v: colors[v])
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1),
+                      None)
+        if target is not None:
+            stack.append((colors, iter(target), []))
+        else:
+            lab = sorted(range(n), key=colors.__getitem__)
             form = _leaf_form(g, lab)
             if first_form is None:
-                first_form = form
-                first_lab = lab
+                first_form, first_lab, first_path = form, lab, path[:]
             elif form == first_form:
                 perm = [0] * n
                 for a, b in zip(first_lab, lab):
                     perm[a] = b
-                autos.append(tuple(perm))
+                gens.append(tuple(perm))
+                # back to the first-path node this path left
+                d = 0
+                while path[d] == first_path[d]:
+                    d += 1
+                del stack[d + 1:]
+                del path[d + 1:]
             if best_form is None or form > best_form:
-                best_form = form
-                best_lab = lab
-            return
-        mark = n  # colour id outside the normalised 0..ncls-1 range
-        for v in target:
-            branched = tuple(
-                mark if u == v else c for u, c in enumerate(colors)
-            )
-            descend(branched)
+                best_form, best_lab = form, lab
+            del path[-1:]
+        # next child of the deepest open node that is in no explored
+        # sibling's orbit under the generators fixing the node's prefix
+        while stack:
+            colors, todo, explored = stack[-1]
+            roots = None
+            for v in todo:
+                if explored:
+                    if roots is None:
+                        roots = _orbits([p for p in gens
+                                         if all(p[x] == x for x in path)], n)
+                    if any(roots[v] == roots[x] for x in explored):
+                        continue
+                break
+            else:
+                stack.pop()
+                del path[-1:]
+                continue
+            explored.append(v)
+            path.append(v)
+            colors = tuple(mark if u == v else c for u, c in enumerate(colors))
+            break
+        if not stack:
+            break
+    gens.append(tuple(range(n)))
+    assert best_form is not None
+    return CanonicalData(best_form, tuple(best_lab), tuple(gens),
+                         _orbits(gens, n))
 
-    descend(color_refine(g, initial_colors, nbrs))
-    autos.append(tuple(range(n)))
+
+def _orbits(perms: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """orbit[v] = smallest vertex in v's orbit under the group that
+    ``perms`` generate (union-find over the generators)."""
     orbit = list(range(n))
 
     def find(v: int) -> int:
@@ -190,16 +236,14 @@ def canonical_data(g: Graph,
             v = orbit[v]
         return v
 
-    for perm in autos:
+    for perm in perms:
         for v, w in enumerate(perm):
             rv, rw = find(v), find(w)
             if rv != rw:
                 if rv > rw:
                     rv, rw = rw, rv
                 orbit[rw] = rv
-    roots = tuple(find(v) for v in range(n))
-    assert best_form is not None
-    return CanonicalData(best_form, tuple(best_lab), tuple(autos), roots)
+    return tuple(find(v) for v in range(n))
 
 
 def canonical_form(g: Graph) -> bytes:

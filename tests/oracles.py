@@ -18,7 +18,7 @@ from cubicml.graph import (
     is_connected,
     mask_of,
 )
-from cubicml.isomorphism import color_refine
+from cubicml.isomorphism import CanonicalData, _cells, _leaf_form, color_refine
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
@@ -63,6 +63,74 @@ def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
         return False
 
     return list(image) if extend(0) else None
+
+
+def full_canonical_data(g: Graph,
+                        initial_colors: tuple[int, ...] | None = None
+                        ) -> CanonicalData:
+    """``isomorphism.canonical_data`` without pruning: visits every leaf of
+    the individualise-refine tree, so ``automorphisms`` is the whole group
+    (identity last), and the form and labeling are the first maximal leaf's
+    in the same depth-first order."""
+    n = g.n
+    if n == 0:
+        return CanonicalData(b"", (), ((),), ())
+    nbrs = [tuple(bits(a)) for a in g.adj]
+    first_form: bytes | None = None
+    first_lab: list[int] = []
+    best_form: bytes | None = None
+    best_lab: list[int] = []
+    autos: list[tuple[int, ...]] = []
+
+    def descend(colors: tuple[int, ...]) -> None:
+        nonlocal first_form, best_form, first_lab, best_lab
+        colors = color_refine(g, colors, nbrs)
+        cells = _cells(colors)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            lab = sorted(range(n), key=lambda v: colors[v])
+            form = _leaf_form(g, lab)
+            if first_form is None:
+                first_form = form
+                first_lab = lab
+            elif form == first_form:
+                perm = [0] * n
+                for a, b in zip(first_lab, lab):
+                    perm[a] = b
+                autos.append(tuple(perm))
+            if best_form is None or form > best_form:
+                best_form = form
+                best_lab = lab
+            return
+        for v in target:
+            descend(tuple(n if u == v else c for u, c in enumerate(colors)))
+
+    descend(color_refine(g, initial_colors, nbrs))
+    autos.append(tuple(range(n)))
+    orbit = [min(perm[v] for perm in autos) for v in range(n)]
+    assert best_form is not None
+    return CanonicalData(best_form, tuple(best_lab), tuple(autos),
+                         tuple(orbit))
+
+
+def group_elements(gens: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
+    """Every element of the permutation group that the non-empty ``gens``
+    generate, the identity included, by closure under composition."""
+    ident = tuple(range(len(gens[0])))
+    group = {ident}
+    todo = [ident]
+    while todo:
+        p = todo.pop()
+        for s in gens:
+            q = tuple(s[x] for x in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
 
 
 def count_spanning_trees(g: Graph) -> int:

@@ -38,7 +38,7 @@ from cubicml.census import (
     nontraceable_census,
 )
 from conftest import random_cubic_graph, random_connected_graph
-from oracles import count_spanning_trees, enumerate_spanning_trees
+from oracles import count_spanning_trees, enumerate_spanning_trees, group_elements
 
 
 def report(ok: bool, label: str, detail: str = "") -> None:
@@ -206,7 +206,7 @@ def test_criterion_6_terminal_quadruple_recognition():
     accepted = {quad for quad in permutations(range(8), 4)
                 if is_jcell(h, *quad).is_jcell}
     ok = tuple(gadget.attach) in accepted
-    autos = canonical_data(h).automorphisms
+    autos = group_elements(canonical_data(h).automorphisms)
     orbit = {tuple(perm[v] for v in gadget.attach) for perm in autos}
     ok = ok and accepted == orbit
     report(ok, "criterion-6: quadruple recognition accepts exactly the "

@@ -6,6 +6,10 @@ from itertools import combinations, permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicml import generate
+from cubicml.census import load_fixtures
+from cubicml.constructions import cycle_of_edge_deleted_petersen, jcell_ring
+from cubicml.generate import generate_cubic
 from cubicml.graph import Graph
 from cubicml.isomorphism import (
     are_isomorphic,
@@ -13,9 +17,10 @@ from cubicml.isomorphism import (
     canonical_form,
     color_refine,
     pair_seeds,
+    seeded_colors,
 )
 from conftest import random_graph, shuffled_copy
-from oracles import find_isomorphism
+from oracles import find_isomorphism, full_canonical_data, group_elements
 
 
 def cycle(n: int) -> Graph:
@@ -117,9 +122,9 @@ def test_canonical_form_separates_classes_exhaustively():
 
 def test_automorphism_groups_of_known_graphs():
     k4 = Graph.from_edges(4, list(combinations(range(4), 2)))
-    assert len(canonical_data(k4).automorphisms) == 24
-    assert len(canonical_data(cycle(5)).automorphisms) == 10
-    assert len(canonical_data(petersen()).automorphisms) == 120
+    assert len(group_elements(canonical_data(k4).automorphisms)) == 24
+    assert len(group_elements(canonical_data(cycle(5)).automorphisms)) == 10
+    assert len(group_elements(canonical_data(petersen()).automorphisms)) == 120
 
 
 def test_automorphisms_are_valid_and_orbits_correct():
@@ -131,6 +136,59 @@ def test_automorphisms_are_valid_and_orbits_correct():
     assert data.orbit[0] == data.orbit[4]
     assert data.orbit[1] == data.orbit[3]
     assert data.orbit[2] not in (data.orbit[0], data.orbit[1])
+
+
+def _assert_matches_oracle(g: Graph, colors=None) -> None:
+    got = canonical_data(g, colors)
+    want = full_canonical_data(g, colors)
+    assert got.form == want.form
+    assert got.labeling == want.labeling
+    assert got.orbit == want.orbit
+    assert group_elements(got.automorphisms) == set(want.automorphisms)
+
+
+def test_pruned_labeling_matches_full_enumeration_on_random_graphs():
+    """Complete and empty graphs stop at n = 8: the oracle visits all n!
+    leaves, about 20 s at n = 9."""
+    for n in range(1, 9):
+        _assert_matches_oracle(Graph.from_edges(n, []))
+        _assert_matches_oracle(Graph.from_edges(n, combinations(range(n), 2)))
+    rng = random.Random(12)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(2, 9), rng.choice((0.2, 0.5, 0.8)))
+        _assert_matches_oracle(g)
+        _assert_matches_oracle(g, seeded_colors(g, pair_seeds(g)))
+
+
+def test_pruned_labeling_matches_full_enumeration_on_fixtures():
+    fixtures = load_fixtures()
+    assert len(fixtures) == 23
+    for f in fixtures:
+        _assert_matches_oracle(f.graph)
+
+
+def test_pruned_labeling_matches_full_enumeration_in_generator(monkeypatch):
+    calls = []
+    labeling = generate.canonical_data
+
+    def recording(g, colors=None):
+        calls.append((g, colors))
+        return labeling(g, colors)
+
+    monkeypatch.setattr(generate, "canonical_data", recording)
+    assert generate_cubic(10) == 19
+    assert calls
+    for g, colors in calls:
+        _assert_matches_oracle(g, colors)
+
+
+def test_generators_of_large_groups_are_automorphisms():
+    ring = jcell_ring(6)
+    for g in (cycle_of_edge_deleted_petersen(6), ring):
+        for perm in canonical_data(g).automorphisms:
+            assert sorted(perm) == list(range(g.n))
+            assert all(g.adj[perm[u]] >> perm[v] & 1 for u, v in g.edges)
+    assert len(group_elements(canonical_data(ring).automorphisms)) == 768
 
 
 def test_canonical_labeling_reproduces_form():
