@@ -27,11 +27,10 @@ from .graph import (
     mask_of,
     read_adjacency_file,
     read_graph6_lines,
-    vertex_connectivity_capped,
 )
 from .hamsearch import SearchBudget, Status, UNLIMITED, has_ham_path, has_ham_path_from
-from .exact import min_leaf_number
-from .isomorphism import are_isomorphic
+from .exact import analyze
+from .isomorphism import are_isomorphic, canonical_form
 
 
 @dataclass(frozen=True)
@@ -157,11 +156,9 @@ class CensusRecord:
 def census_graph(g: Graph, budget: SearchBudget = UNLIMITED) -> tuple[str, int]:
     """Classify one cubic graph: returns (kind, connectivity) where kind is
     'traceable', 'nontraceable' or 'indeterminate'."""
-    conn = vertex_connectivity_capped(g, 3)
-    r = has_ham_path(g, budget)
-    if r.status is Status.INDETERMINATE:
-        return "indeterminate", conn
-    return ("traceable" if r.is_yes else "nontraceable"), conn
+    a = analyze(g, budget)
+    kind = {True: "traceable", False: "nontraceable", None: "indeterminate"}
+    return kind[a.traceable], a.connectivity
 
 
 def nontraceable_census(
@@ -207,6 +204,11 @@ def nontraceable_census(
 # --- full published-artifact verification ---------------------------------
 
 
+def _distinct(forms: list[bytes]) -> bool:
+    """No two graphs with these canonical forms are isomorphic."""
+    return len(set(forms)) == len(forms)
+
+
 @dataclass(frozen=True)
 class Check:
     fixture: str
@@ -236,14 +238,11 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
     for f in census_fixtures:
         checks.append(Check(f.id, "order", f.order, f.graph.n))
         checks.append(Check(f.id, "cubic", True, is_cubic(f.graph)))
-        checks.append(Check(
-            f.id, "connectivity", f.connectivity,
-            vertex_connectivity_capped(f.graph, 3)))
-        r = has_ham_path(f.graph, budget)
-        traceable = None if r.status is Status.INDETERMINATE else r.is_yes
-        checks.append(Check(f.id, "traceable", f.traceable, traceable))
-        checks.append(Check(f.id, "ml", f.ml,
-                            min_leaf_number(f.graph, budget).value))
+        a = analyze(f.graph, budget, ml=True)
+        checks.append(Check(f.id, "connectivity", f.connectivity,
+                            a.connectivity))
+        checks.append(Check(f.id, "traceable", f.traceable, a.traceable))
+        checks.append(Check(f.id, "ml", f.ml, a.ml.value))
 
     g28 = substitute_p_star(complete_graph(4), [0, 1, 2])
     target = next(f for f in census_fixtures if f.family == "nontraceable_28_conn3")
@@ -251,29 +250,22 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
         target.id, "matches substitution construction", True,
         are_isomorphic(g28, target.graph)))
 
+    form = {f.id: canonical_form(f.graph) for f in census_fixtures}
     for fam in ("nontraceable_28_conn2", "nontraceable_30_conn3"):
-        members = [f for f in census_fixtures if f.family == fam]
-        distinct = True
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if are_isomorphic(members[i].graph, members[j].graph):
-                    distinct = False
-        checks.append(Check(fam, "pairwise non-isomorphic", True, distinct))
-    conn2 = [f for f in census_fixtures if f.family == "nontraceable_28_conn2"]
-    sep = all(not are_isomorphic(f.graph, target.graph) for f in conn2)
+        checks.append(Check(fam, "pairwise non-isomorphic", True, _distinct(
+            [form[f.id] for f in census_fixtures if f.family == fam])))
+    conn2 = {form[f.id] for f in census_fixtures
+             if f.family == "nontraceable_28_conn2"}
     checks.append(Check(
-        "nontraceable_28_conn2", "distinct from connectivity-3 graph", True, sep))
+        "nontraceable_28_conn2", "distinct from connectivity-3 graph", True,
+        form[target.id] not in conn2))
 
     lemma_fixtures = load_fixtures("order18_no_deg2_start")
     scan = lemma_short_scan((f.graph for f in lemma_fixtures), budget=budget)
     checks.append(Check(
         "order18_no_deg2_start", "all are counterexamples",
         len(lemma_fixtures), len(scan.counterexamples)))
-    distinct = True
-    for i in range(len(lemma_fixtures)):
-        for j in range(i + 1, len(lemma_fixtures)):
-            if are_isomorphic(lemma_fixtures[i].graph, lemma_fixtures[j].graph):
-                distinct = False
     checks.append(Check(
-        "order18_no_deg2_start", "pairwise non-isomorphic", True, distinct))
+        "order18_no_deg2_start", "pairwise non-isomorphic", True,
+        _distinct([canonical_form(f.graph) for f in lemma_fixtures])))
     return checks

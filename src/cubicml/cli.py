@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from functools import partial
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
@@ -43,17 +42,16 @@ from .constructions import (
     substitute_p_star,
     theta_multigraph,
 )
-from .exact import min_leaf_number, path_cover_number
+from .exact import analyze
 from .generate import generate_cubic
 from .graph import (
     Graph,
     Graph6Error,
     GraphError,
     read_graph6_lines,
-    vertex_connectivity_capped,
     write_graph6,
 )
-from .hamsearch import SearchBudget, Status, UNLIMITED, has_ham_path
+from .hamsearch import SearchBudget, Status, UNLIMITED
 
 
 def _g6(g: Graph) -> str:
@@ -82,32 +80,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 print(f"line {lineno}: {g}", file=sys.stderr)
                 status = 1
                 continue
-            record: dict[str, object] = {"id": lineno, "n": g.n}
-            timings: dict[str, float] = {}
-            t = time.perf_counter()
-            record["connectivity"] = vertex_connectivity_capped(g, 3)
-            timings["connectivity"] = round(time.perf_counter() - t, 6)
-            t = time.perf_counter()
-            r = has_ham_path(g, budget)
-            timings["traceable"] = round(time.perf_counter() - t, 6)
-            undecided = r.status is Status.INDETERMINATE
-            record["traceable"] = None if undecided else r.is_yes
-            for key, wanted, solve in (("ml", args.ml, min_leaf_number),
-                                       ("mu", args.mu, path_cover_number)):
-                if not wanted:
-                    continue
-                t = time.perf_counter()
-                try:
-                    res = solve(g, budget)
-                    undecided |= res.status is Status.INDETERMINATE
-                    record[key] = res.value
-                except GraphError as exc:
+            a = analyze(g, budget, ml=args.ml, mu=args.mu)
+            record: dict[str, object] = {
+                "id": lineno, "n": g.n, "connectivity": a.connectivity,
+                "traceable": a.traceable}
+            undecided = a.traceable is None
+            for key, res in (("ml", a.ml), ("mu", a.mu)):
+                if isinstance(res, GraphError):
                     # e.g. ml of a disconnected graph, mu of the empty one
-                    print(f"line {lineno}: {exc}", file=sys.stderr)
+                    print(f"line {lineno}: {res}", file=sys.stderr)
                     record[key] = None
                     status = 1
-                timings[key] = round(time.perf_counter() - t, 6)
-            record["timings"] = timings
+                elif res is not None:
+                    undecided |= res.status is Status.INDETERMINATE
+                    record[key] = res.value
+            record["timings"] = {key: round(a.seconds[key], 6) for key in
+                                 ("connectivity", "traceable", "ml", "mu")
+                                 if key in a.seconds}
             print(json.dumps(record), flush=True)
             if undecided:
                 status = 1

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .graph import Graph, GraphError, induced_subgraph, is_connected, require_witness
 from .exact import SpanningTree, has_path_cover_le_k
-from .hamsearch import SearchBudget, Status, UNLIMITED, has_ham_path_from
+from .hamsearch import (SearchBudget, Status, UNLIMITED, check_legs_witness,
+                        has_ham_path_from)
 
 SHORT_THRESHOLD = 18  # a path is long when it has at least this many vertices
 
@@ -53,12 +54,7 @@ class VdpCover:
         return sum(len(p) ** 2 for p in self.paths)
 
     def validate(self, g: Graph) -> bool:
-        seen = sorted(v for p in self.paths for v in p)
-        if seen != list(range(g.n)):
-            return False
-        return all(
-            g.has_edge(u, v) for p in self.paths for u, v in zip(p, p[1:])
-        )
+        return check_legs_witness(g, self.paths, len(self.paths), False)
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ def _merge_once(g: Graph, paths: list[tuple[int, ...]]) -> bool:
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
             p, q = paths[i], paths[j]
-            for pe, pflip in ((p, False), (p[::-1], True)):
+            for pe in (p, p[::-1]):
                 for qe in (q, q[::-1]):
                     if g.has_edge(pe[-1], qe[0]):
                         paths[i] = pe + qe

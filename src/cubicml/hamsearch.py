@@ -2,10 +2,12 @@
 pruning.
 
 One backtracking engine serves every query flavour: free endpoints, fixed
-start, fixed endpoint pair, cycle closure, and path covers.  The J-cell
-recognizer asks only fixed-pair queries, on H, on H minus a vertex, and on
-either plus one connector vertex.  Verdicts are exact; a node budget can cut a search
-short, in which case the result is indeterminate rather than wrong.
+start, fixed endpoint pair, cycle closure, and path covers.  A path ends in
+an end mask: every vertex after a fixed start, and b alone for a fixed pair
+(a, b).  The J-cell recognizer asks only fixed-pair queries, on H, on H
+minus a vertex, and on either plus one connector vertex.  Verdicts are
+exact; a node budget can cut a search short, in which case the result is
+indeterminate rather than wrong.
 
 Free-endpoint paths and cycles share one anchored driver.  It searches
 ``prefix + [s, ..., t]`` for each choice s in ascending order and accepts
@@ -121,11 +123,8 @@ class _BudgetExhausted(Exception):
 
 
 def check_path_witness(g: Graph, path: tuple[int, ...]) -> bool:
-    """Mechanical validation of a hamiltonian path: all ``g.n`` vertices,
-    each once, consecutive ones adjacent."""
-    if len(path) != g.n or len(set(path)) != g.n:
-        return False
-    return all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+    """Mechanical validation of a hamiltonian path: a cover by one leg."""
+    return check_legs_witness(g, (path,), 1, False)
 
 
 class _Engine:
@@ -134,15 +133,6 @@ class _Engine:
         self.full = g.full_mask()
         self.max_nodes = budget.max_nodes
         self.nodes = 0
-        self.path: list[int] = []
-
-    def run(self, start: int, end: int | None) -> tuple[int, ...] | None:
-        """Search a hamiltonian path from ``start``, ending at ``end`` when
-        it is given (kept unvisited until last)."""
-        self.path = [start]
-        if self.search(end, -1):
-            return tuple(self.path)
-        return None
 
     def anchored(self, prefix: list[int], choices: int) -> tuple[int, ...] | None:
         """Hamiltonian path ``prefix + [s, ..., t]`` with s < t both in
@@ -151,33 +141,28 @@ class _Engine:
             end_mask = choices >> s + 1 << s + 1
             if not end_mask:
                 break
-            self.path = prefix + [s]
-            if self.search(None, end_mask):
-                return tuple(self.path)
+            w = self.search(prefix + [s], end_mask)
+            if w is not None:
+                return w
         return None
 
-    def search(self, end: int | None, end_mask: int) -> bool:
-        """Extend ``self.path`` to a hamiltonian path of ``full``.
+    def search(self, path: list[int],
+               end_mask: int) -> tuple[int, ...] | None:
+        """Extend ``path`` to a hamiltonian path of ``full``, or None.
 
         The path's vertices count as visited and its last vertex is where
-        the search stands; on success ``self.path`` holds the witness.  The
-        path ends at ``end`` when it is given, else in ``end_mask``, so a
-        rest that misses ``end_mask`` is dead.  The root node proves its
-        unvisited rest connected by a full spread and scans it for
-        low-degree vertices; every deeper node only looks around the vertex
-        just added (see the module docstring).
+        the search stands.  The path ends in ``end_mask``, so a rest that
+        misses ``end_mask`` is dead.  The root node proves its unvisited
+        rest connected by a full spread and scans it for low-degree
+        vertices; every deeper node only looks around the vertex just added
+        (see the module docstring).
         """
         adj = self.adj
-        path = self.path
         max_nodes = self.max_nodes
         nodes = self.nodes
         rest = self.full & ~mask_of(path)
         if rest == 0:
-            return True
-        endbit = 0 if end is None else 1 << end
-        adj_end = 0 if end is None else adj[end]
-        # the final vertex must lie in last_ok; the rest must meet end_mask
-        last_ok = end_mask if end is None else endbit
+            return tuple(path)
         low = _low(adj, rest, rest)  # unvisited, residual degree <= 1
         cur = path[-1]
         root = True
@@ -191,10 +176,10 @@ class _Engine:
             nb = cur_adj & rest
             kids: list[tuple[int, int]] = []
             if not rest & (rest - 1):  # single vertex left
-                if nb & last_ok:
+                if nb & end_mask:
                     path.append(rest.bit_length() - 1)
                     self.nodes = nodes
-                    return True
+                    return tuple(path)
             elif rest & end_mask:
                 # Residual degrees fall only around cur: refresh low there
                 # and keep each neighbour's degree to order the children.
@@ -211,18 +196,14 @@ class _Engine:
                 # one of them able to come first (next to cur) and the
                 # other last.
                 if low:
-                    first = cur_adj & ~endbit
                     a = low & -low
                     z = low ^ a
                     if z:
-                        if z & (z - 1) or not (a & first and z & last_ok
-                                               or z & first and a & last_ok):
+                        if z & (z - 1) or not (a & cur_adj and z & end_mask
+                                               or z & cur_adj and a & end_mask):
                             kids = []
-                    elif not a & (first | last_ok):
+                    elif not a & (cur_adj | end_mask):
                         kids = []
-                if (kids and end is not None and not adj_end & rest
-                        and rest != endbit and not cur_adj & endbit):
-                    kids = []
                 if kids and root:
                     if spread(adj, rest & -rest, rest) != rest:
                         kids = []
@@ -243,13 +224,6 @@ class _Engine:
                             kids = []
                             break
                         unseen ^= frontier
-                if kids and end is not None and nb & endbit:
-                    # end is kept for last; stepping onto it now would
-                    # strand the rest of the unvisited vertices
-                    if nb == endbit:
-                        kids = []
-                    else:
-                        kids.remove(((adj_end & rest).bit_count(), end))
                 kids.sort()
             root = False
             if kids:
@@ -265,7 +239,7 @@ class _Engine:
                 path.pop()
             else:
                 self.nodes = nodes
-                return False
+                return None
             cur = kid[1]
             path.append(cur)
             b = 1 << cur
@@ -444,7 +418,7 @@ def has_ham_path_from(g: Graph, start: int,
         raise GraphError(f"start vertex {start} out of range")
     if not is_connected(g):
         return SearchResult(Status.NO)
-    return _run(g, budget, lambda e: e.run(start, None))
+    return _run(g, budget, lambda e: e.search([start], -1))
 
 
 def has_ham_path_between(g: Graph, a: int, b: int,
@@ -456,7 +430,7 @@ def has_ham_path_between(g: Graph, a: int, b: int,
         raise GraphError("endpoint out of range")
     if not is_connected(g):
         return SearchResult(Status.NO)
-    return _run(g, budget, lambda e: e.run(a, b))
+    return _run(g, budget, lambda e: e.search([a], 1 << b))
 
 
 _MEMO_CAP = 32
@@ -500,8 +474,8 @@ def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
 def _ham_path(g: Graph, budget: SearchBudget) -> SearchResult:
     if g.n == 0 or not is_connected(g):
         return SearchResult(Status.NO)
-    if g.n == 1:
-        return SearchResult(Status.YES, (0,))
+    if g.n <= 2:  # connected, so listed in order
+        return SearchResult(Status.YES, tuple(range(g.n)))
     return _run(g, budget, lambda e: e.anchored([], g.full_mask()))
 
 

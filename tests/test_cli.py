@@ -1,12 +1,13 @@
 """End-to-end command-line behaviour via main()."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
 from cubicml.cli import main
-from cubicml.graph import is_cubic, parse_graph6, write_graph6
+from cubicml.graph import Graph, is_cubic, parse_graph6, write_graph6
 from cubicml.constructions import complete_graph, jcell_ring
 from conftest import prism
 
@@ -60,6 +61,40 @@ def test_analyze_reports_graphs_without_ml_or_mu(tmp_path, capsys):
         "line 2: minimum leaf number needs a connected non-empty graph",
         "line 2: path cover of the empty graph is undefined",
     ]
+
+
+def test_analyze_decides_traceability_once_per_graph(tmp_path, capsys,
+                                                    monkeypatch):
+    # a traceable, a 1-connected non-traceable and a disconnected graph,
+    # with and without a budget cut; a connected graph took 3 calls before
+    # the per-graph analysis
+    import sys
+    from cubicml import hamsearch
+    from conftest import gadget_caterpillar
+
+    calls = []
+    real = hamsearch.has_ham_path
+
+    def counted(g, budget=hamsearch.UNLIMITED):
+        calls.append(g.adj)
+        return real(g, budget)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cubicml") and hasattr(module, "has_ham_path"):
+            monkeypatch.setattr(module, "has_ham_path", counted)
+    k4 = complete_graph(4)
+    two_k4 = Graph.from_edges(8, [(u + d, v + d) for d in (0, 4)
+                                  for u, v in k4.edges])
+    graphs = [k4, prism(5), gadget_caterpillar(4), two_k4]
+    path = write_stream(tmp_path, graphs)
+    code, out, err = run(capsys, ["analyze", path, "--ml", "--mu"])
+    assert len(out.splitlines()) == 4
+    assert calls == [g.adj for g in graphs]
+    assert code == 1  # the disconnected graph has no ml
+    calls.clear()
+    code, out, _ = run(capsys, ["analyze", path, "--ml", "--mu",
+                                "--max-nodes", "1"])
+    assert code == 1 and calls == [g.adj for g in graphs]
 
 
 def test_analyze_fails_on_undecided_answers(tmp_path, capsys):
@@ -251,8 +286,13 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.slow
+# sha256 of the whole verify-paper stdout: its 101 "ok" lines and the summary
+_VERIFY_PAPER_SHA256 = (
+    "1c4b47312f91d2fa6f489d4583fbfe27b59ffae95e69115820b60eab3f7d9f22")
+
+
 def test_verify_paper_command(capsys):
-    code, out, _ = run(capsys, ["verify-paper"])
-    assert code == 0
-    assert "0 failed" in out.splitlines()[-1]
+    code, out, err = run(capsys, ["verify-paper"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "101 checks, 0 failed"
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_PAPER_SHA256

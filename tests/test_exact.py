@@ -5,10 +5,13 @@ from itertools import combinations
 
 import pytest
 
+from cubicml import exact, hamsearch
+from cubicml.census import load_fixtures
 from cubicml.graph import Graph, GraphError, is_connected, parse_graph6
-from cubicml.hamsearch import SearchBudget, Status, has_leg_cover
+from cubicml.hamsearch import SearchBudget, Status, has_ham_path, has_leg_cover
 from cubicml.exact import (
     SpanningTree,
+    analyze,
     has_path_cover_le_k,
     has_tree_le_k_leaves,
     min_leaf_number,
@@ -268,3 +271,86 @@ def test_bridged_long_prisms_need_no_recursion():
     assert status is Status.YES and tree.leaf_count == 3 and tree.validate(g)
     status, paths = has_path_cover_le_k(g, 2)
     assert status is Status.YES and len(paths) == 2
+
+
+# --- one analysis per graph ------------------------------------------------
+
+
+def _answer(solve, *args):
+    """``solve(*args)``, or the message of the GraphError it raised."""
+    try:
+        return solve(*args)
+    except GraphError as exc:
+        return str(exc)
+
+
+def _message(res):
+    return str(res) if isinstance(res, GraphError) else res
+
+
+def test_analysis_agrees_with_the_ladders():
+    # values, witnesses, lower bounds and refusals, connected or not, with
+    # budgets that cut the bottom rungs and the ones above them
+    rng = random.Random(31)
+    cases = [(random_graph(rng, rng.randint(0, 9), rng.uniform(0.15, 0.7)),
+              (0, 1, 3, 10, 30, 100, 1000, None)) for _ in range(150)]
+    cases += [(f.graph, (0, 1000, None)) for f in load_fixtures()]
+    for g, budgets in cases:
+        for max_nodes in budgets:
+            budget = SearchBudget(max_nodes)
+            a = analyze(g, budget, ml=True, mu=True)
+            assert _message(a.ml) == _answer(min_leaf_number, g, budget)
+            assert _message(a.mu) == _answer(path_cover_number, g, budget)
+            r = has_ham_path(g, budget)
+            assert a.traceable == (None if r.status is Status.INDETERMINATE
+                                   else r.is_yes)
+
+
+def test_analysis_reports_only_what_is_asked():
+    a = analyze(complete(4))
+    assert (a.connectivity, a.traceable, a.ml, a.mu) == (3, True, None, None)
+    assert list(a.seconds) == ["connectivity", "traceable"]
+    a = analyze(Graph.from_edges(2, []), ml=True, mu=True)
+    assert str(a.ml) == "minimum leaf number needs a connected non-empty graph"
+    assert a.mu.value == 2
+    assert list(a.seconds) == ["connectivity", "traceable", "mu", "ml"]
+
+
+def _engine_nodes(monkeypatch):
+    """Node counts of every search the engine runs from here on."""
+    counts = []
+    real = hamsearch._run
+
+    def run(*args, **kwargs):
+        r = real(*args, **kwargs)
+        counts.append(r.nodes)
+        return r
+
+    monkeypatch.setattr(hamsearch, "_run", run)
+    return counts
+
+
+def test_a_budget_cut_costs_one_budget(monkeypatch):
+    # the bottom rungs take the cut traceability answer; no search repeats it
+    g = next(f.graph for f in load_fixtures("nontraceable_28_conn2")
+             if f.id == "nontraceable_28_c2_01")
+    counts = _engine_nodes(monkeypatch)
+    a = analyze(g, SearchBudget(1000), ml=True, mu=True)
+    assert a.traceable is None and counts == [1001]
+    assert a.ml == exact.MlResult(Status.INDETERMINATE, lower_bound=2)
+    assert a.mu == exact.MuResult(Status.INDETERMINATE, lower_bound=1)
+
+
+def test_ml_ladder_starts_above_mu(monkeypatch):
+    # T_5 has mu = 3, so ml >= 4: the ml <= 3 rung is never asked
+    asked = []
+    real = exact.has_tree_le_k_leaves
+
+    def rung(g, k, budget):
+        asked.append(k)
+        return real(g, k, budget)
+
+    monkeypatch.setattr(exact, "has_tree_le_k_leaves", rung)
+    a = analyze(gadget_caterpillar(5), ml=True, mu=True)
+    assert (a.traceable, a.mu.value, a.ml.value) == (False, 3, 5)
+    assert asked == [4, 5]
