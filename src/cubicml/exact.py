@@ -57,13 +57,6 @@ class SpanningTree:
     parent: tuple[int, ...]
 
     @property
-    def root(self) -> int:
-        for v, p in enumerate(self.parent):
-            if p == v:
-                return v
-        raise GraphError("parent array has no root")
-
-    @property
     def leaf_count(self) -> int:
         """Vertices of degree 1 in the tree, a root with one child too."""
         degree = [0] * len(self.parent)
@@ -100,13 +93,6 @@ class SpanningTree:
         return all(
             p == v or g.has_edge(v, p) for v, p in enumerate(self.parent)
         )
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (min(v, p), max(v, p))
-            for v, p in enumerate(self.parent)
-            if p != v
-        ]
 
 
 @dataclass(frozen=True)

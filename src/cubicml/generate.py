@@ -78,7 +78,11 @@ def _feasible(degs: Sequence[int], slots: int, min_final_deg: int) -> bool:
     """Can the remaining ``slots`` vertices complete the degree targets?
 
     Every existing vertex must end with degree between ``min_final_deg``
-    and 3, and can gain at most one edge per future vertex.
+    and 3, and can gain at most one edge per future vertex.  For a cubic
+    target the future vertices carry 3 * slots degree: ``need`` of it goes
+    to existing vertices, and the rest pairs up among the future vertices,
+    at most one edge per pair.  The first future vertex needs an existing
+    neighbour, so ``need`` is positive while slots remain.
     """
     if min_final_deg - min(degs) > slots:
         return False
@@ -86,9 +90,12 @@ def _feasible(degs: Sequence[int], slots: int, min_final_deg: int) -> bool:
                for j in range(min_final_deg))
     if need > 3 * slots:
         return False
-    # for cubic targets need is the total deficit, whose change per added
-    # vertex is odd (3 - 2d): it shares parity with the remaining vertices
-    return min_final_deg != 3 or (need - slots) % 2 == 0
+    if min_final_deg != 3:
+        return True
+    # need is the total deficit, whose change per added vertex is odd
+    # (3 - 2d): it shares parity with the remaining vertices
+    return ((need - slots) % 2 == 0 and 3 * slots - need <= slots * (slots - 1)
+            and (need > 0 or slots == 0))
 
 
 def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,

@@ -17,6 +17,23 @@ choices.  A path is a cycle through a hub adjacent to every vertex, cut
 open at the hub: empty prefix, every vertex a choice.  The hub stays
 implicit, because a real one would add a bit to every mask.
 
+A path also skips starts in the automorphism orbit of a failed one.  The
+driver keeps a mask ``done``; each start joins it before its search, which
+may end only outside it, so with no orbits known this is the rule t > s.
+By induction no hamiltonian path ends in ``done``: the search from s
+excluded every other end, so none ends at s, and an automorphism maps a
+path ending at s to one ending at its image.  So once the orbits are known,
+each orbit that meets ``done`` joins it and is never tried as a start.
+Each search is the orbit-free driver's search from the same start, with
+the same child order and a smaller end mask, so it only prunes more; a
+skipped start would have failed there too.  Status and witness are
+therefore the orbit-free driver's, reached in no more nodes.  The orbits
+come from ``isomorphism.canonical_steps``, stepped after each failed start
+by as many units (n per colour refinement) as that start's search took
+nodes.  So the labeling costs at most the search's nodes plus one
+refinement, and a search cut by its budget has not waited for it.  Cycles
+take no labeling, so their trees are as before.
+
 Pruning at every node (Rubin, JACM 1974; Vandegriend & Culberson, JAIR
 1998):
   * the unvisited vertices must induce a connected graph;
@@ -70,7 +87,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Generator, Iterator
 
 from .graph import (
     Graph,
@@ -82,6 +99,7 @@ from .graph import (
     require_witness,
     spread,
 )
+from .isomorphism import CanonicalData, canonical_steps
 
 
 class Status(Enum):
@@ -134,16 +152,39 @@ class _Engine:
         self.max_nodes = budget.max_nodes
         self.nodes = 0
 
-    def anchored(self, prefix: list[int], choices: int) -> tuple[int, ...] | None:
-        """Hamiltonian path ``prefix + [s, ..., t]`` with s < t both in
-        ``choices``, trying each s in ascending order."""
+    def anchored(self, prefix: list[int], choices: int,
+                 labeling: Generator[int, None, CanonicalData] | None = None
+                 ) -> tuple[int, ...] | None:
+        """Hamiltonian path ``prefix + [s, ..., t]`` with s and t in
+        ``choices``, trying each s in ascending order and t only outside
+        ``done``: the starts tried so far and, once ``labeling`` has
+        finished, their orbits.  After each failed start the labeling is
+        stepped by as many units as that start's search took nodes."""
+        done = 0
+        classes: list[int] | None = None  # orbit masks, once labelled
+        credit = 0
         for s in bits(choices):
-            end_mask = choices >> s + 1 << s + 1
+            if done >> s & 1:
+                continue
+            done |= 1 << s
+            end_mask = choices & ~done
             if not end_mask:
                 break
+            before = self.nodes
             w = self.search(prefix + [s], end_mask)
             if w is not None:
                 return w
+            if labeling is not None and classes is None:
+                credit += self.nodes - before
+                try:
+                    while credit > 0:
+                        credit -= next(labeling)
+                except StopIteration as stop:
+                    classes = _orbit_masks(stop.value.orbit)
+            if classes is not None:
+                for c in classes:
+                    if c & done:
+                        done |= c
         return None
 
     def search(self, path: list[int],
@@ -322,6 +363,14 @@ class _Engine:
             comps += _pieces(adj, nb, rest) - 1
 
 
+def _orbit_masks(orbit: tuple[int, ...]) -> list[int]:
+    """The vertex mask of each orbit, from ``CanonicalData.orbit``."""
+    masks: dict[int, int] = {}
+    for v, root in enumerate(orbit):
+        masks[root] = masks.get(root, 0) | 1 << v
+    return list(masks.values())
+
+
 def _pieces(adj: tuple[int, ...], nb: int, rest: int) -> int:
     """Number of components of ``rest`` that meet ``nb``.  A spread from
     one vertex of ``nb`` stops as soon as it has reached all the others."""
@@ -464,9 +513,10 @@ def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     The anchored cycle driver answers it as a cycle through an implicit hub
     adjacent to every vertex: from each start s in ascending order it
     accepts only an end t > s, which halves the refutation work without
-    losing any witness.  A real hub would shift every mask by one bit,
-    moving vertex 29 of a 30-vertex graph into a second CPython integer
-    digit, and measured slower.
+    losing any witness, and it skips the starts in the orbit of a failed
+    one once the graph is labelled (see the module docstring).  A real hub
+    would shift every mask by one bit, moving vertex 29 of a 30-vertex
+    graph into a second CPython integer digit, and measured slower.
     """
     return _memoised("path", _ham_path, g, budget)
 
@@ -476,7 +526,8 @@ def _ham_path(g: Graph, budget: SearchBudget) -> SearchResult:
         return SearchResult(Status.NO)
     if g.n <= 2:  # connected, so listed in order
         return SearchResult(Status.YES, tuple(range(g.n)))
-    return _run(g, budget, lambda e: e.anchored([], g.full_mask()))
+    return _run(g, budget,
+                lambda e: e.anchored([], g.full_mask(), canonical_steps(g)))
 
 
 def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:

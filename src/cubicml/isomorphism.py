@@ -6,12 +6,17 @@ screens, and an individualise-refine canonical form whose search also
 yields generators of the automorphism group, which in turn prune the
 search.  No canonical-form cache is kept; callers hash the returned bytes
 if they need one.
+
+The labeling also runs as a generator, ``canonical_steps``, which yields
+after each colour refinement; ``canonical_data`` drains it.  The
+hamiltonian path search advances it in step with its own nodes and uses
+the orbits only once it has finished (see ``hamsearch``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .graph import Graph, bits
 
@@ -131,7 +136,22 @@ def _leaf_form(g: Graph, lab: list[int]) -> bytes:
 
 def canonical_data(g: Graph,
                    initial_colors: tuple[int, ...] | None = None) -> CanonicalData:
+    """``canonical_steps`` run to the end."""
+    steps = canonical_steps(g, initial_colors)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+
+def canonical_steps(g: Graph, initial_colors: tuple[int, ...] | None = None
+                    ) -> Generator[int, None, CanonicalData]:
     """Canonical form by individualise-refine, pruned by automorphisms.
+
+    A generator that yields ``g.n``, its unit of work, after each colour
+    refinement and returns the ``CanonicalData``, so a caller can spread
+    the labeling over its own work and stop it at any point.
 
     The form is the largest leaf form, and the labeling the first leaf in
     depth-first order that attains it.  A leaf whose form equals the first
@@ -172,6 +192,7 @@ def canonical_data(g: Graph,
     colors = initial_colors
     while True:
         colors = color_refine(g, colors, nbrs)
+        yield n
         cells = _cells(colors)
         target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1),
                       None)

@@ -69,6 +69,18 @@ def prism(k: int) -> Graph:
                             + [(i, k + i) for i in range(k)])
 
 
+def bridged_prisms() -> Graph:
+    """A centre joined by bridges to three prisms on 498 vertices, each with
+    the edge (0, 1) subdivided: cubic, 1-connected, n = 1,498."""
+    edges = []
+    n = 1
+    for _ in range(3):
+        edges += [(n + a, n + b) for a, b in prism(249).edges if (a, b) != (0, 1)]
+        s = n + 498
+        edges += [(n, s), (n + 1, s), (0, s)]
+        n = s + 1
+    return Graph.from_edges(n, edges)
+
 
 def gadget_caterpillar(leaves: int) -> Graph:
     """T_L for L = ``leaves`` >= 3: a caterpillar with L leaves whose L - 2

@@ -18,7 +18,31 @@ from cubicml.graph import (
     is_connected,
     mask_of,
 )
+from cubicml.hamsearch import UNLIMITED, SearchBudget, SearchResult, Status, _run
 from cubicml.isomorphism import CanonicalData, _cells, _leaf_form, color_refine
+
+
+def ham_path_without_orbits(g: Graph,
+                            budget: SearchBudget = UNLIMITED) -> SearchResult:
+    """``hamsearch.has_ham_path`` without the orbit skip and the memo: one
+    search from every start s in ascending order, ending at some t > s."""
+    if g.n == 0 or not is_connected(g):
+        return SearchResult(Status.NO)
+    if g.n <= 2:
+        return SearchResult(Status.YES, tuple(range(g.n)))
+    full = g.full_mask()
+
+    def find(engine) -> tuple[int, ...] | None:
+        for s in bits(full):
+            end_mask = full >> s + 1 << s + 1
+            if not end_mask:
+                return None
+            w = engine.search([s], end_mask)
+            if w is not None:
+                return w
+        return None
+
+    return _run(g, budget, find)
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
@@ -232,6 +256,19 @@ def enumerate_spanning_trees(
     base = [(u, v, (u, v)) for u, v in g.edges]
     recurse(base, [], g.n)
     yield from trees
+
+
+def tree_root(t: SpanningTree) -> int:
+    """The vertex that is its own parent."""
+    for v, p in enumerate(t.parent):
+        if p == v:
+            return v
+    raise GraphError("parent array has no root")
+
+
+def tree_edges(t: SpanningTree) -> list[tuple[int, int]]:
+    """The tree's edges, each as (smaller end, larger end)."""
+    return [(min(v, p), max(v, p)) for v, p in enumerate(t.parent) if p != v]
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -18,8 +18,8 @@ from cubicml.exact import (
     path_cover_number,
 )
 from conftest import (
+    bridged_prisms,
     gadget_caterpillar,
-    prism,
     random_connected_graph,
     random_graph,
 )
@@ -27,6 +27,8 @@ from oracles import (
     count_spanning_trees,
     enumerate_spanning_trees,
     mu_lower_bound_deletion,
+    tree_edges,
+    tree_root,
 )
 
 
@@ -80,9 +82,9 @@ def _splittable(g: Graph, perm, k: int) -> bool:
 
 def test_spanning_tree_type():
     t = SpanningTree.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    assert t.root == 0
+    assert tree_root(t) == 0
     assert t.leaf_count == 3
-    assert sorted(t.edges()) == [(0, 1), (1, 2), (1, 3)]
+    assert sorted(tree_edges(t)) == [(0, 1), (1, 2), (1, 3)]
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
     assert t.validate(g)
     assert not t.validate(cycle(4))  # edge (1,3) absent there
@@ -113,7 +115,7 @@ def test_enumeration_matches_determinant():
             assert len(trees) == count_spanning_trees(g)
         else:
             assert trees == []
-        seen = {tuple(sorted(t.edges())) for t in trees}
+        seen = {tuple(sorted(tree_edges(t))) for t in trees}
         assert len(seen) == len(trees)  # no duplicates
         for t in trees:
             assert t.validate(g)
@@ -257,16 +259,7 @@ def test_two_leg_refutation_of_gadget_caterpillars_pinned(leaves):
 
 
 def test_bridged_long_prisms_need_no_recursion():
-    # a centre joined by bridges to three prisms on 498 vertices, each with
-    # the edge (0, 1) subdivided: n = 1,498
-    edges = []
-    n = 1
-    for _ in range(3):
-        edges += [(n + a, n + b) for a, b in prism(249).edges if (a, b) != (0, 1)]
-        s = n + 498
-        edges += [(n, s), (n + 1, s), (0, s)]
-        n = s + 1
-    g = Graph.from_edges(n, edges)
+    g = bridged_prisms()
     status, tree = has_tree_le_k_leaves(g, 3)
     assert status is Status.YES and tree.leaf_count == 3 and tree.validate(g)
     status, paths = has_path_cover_le_k(g, 2)

@@ -171,26 +171,33 @@ def test_inherited_cut_mask_matches_dfs(monkeypatch):
     assert tried > 0
 
 
-def _feasible_per_vertex(degs, slots, min_final_deg):
-    """The per-vertex form of ``generate._feasible``."""
-    need = sum(max(0, min_final_deg - d) for d in degs)
-    if need > 3 * slots:
-        return False
-    if any(min_final_deg - d > slots for d in degs):
-        return False
-    if min_final_deg == 3:
-        deficit = sum(3 - d for d in degs)
-        if (deficit - slots) % 2:
-            return False
-    return True
+def _has_completion(degs, slots, min_final_deg):
+    """Brute force: can ``slots`` new vertices, joined to the existing ones
+    and to each other by simple edges (none between two existing vertices),
+    bring every degree into [min_final_deg, 3]?"""
+    futures = range(slots)
+    subsets = [s for k in range(slots + 1) for s in combinations(futures, k)]
+    pairs = list(combinations(futures, 2))
+    for k in range(len(pairs) + 1):
+        for inner in combinations(pairs, k):
+            loads = {tuple(sum(f in p for p in inner) for f in futures)}
+            for d in degs:
+                loads = {tuple(x + (f in s) for f, x in enumerate(load))
+                         for load in loads for s in subsets
+                         if min_final_deg <= d + len(s) <= 3}
+            if any(all(min_final_deg <= x <= 3 for x in load)
+                   for load in loads):
+                return True
+    return False
 
 
-def test_feasible_matches_per_vertex_formula():
-    # every state of the generator has at least one vertex
-    for size in range(1, 8):
+def test_feasible_matches_brute_force_completion():
+    # every state of the generator has at least one vertex; a cubic target
+    # is decided exactly, a {2,3} one never rejects a completable state
+    for size in range(1, 6):
         for degs in product(range(4), repeat=size):
-            for slots in range(9):
-                for min_final_deg in (2, 3):
-                    assert _feasible(degs, slots, min_final_deg) == \
-                        _feasible_per_vertex(degs, slots, min_final_deg), \
-                        (degs, slots, min_final_deg)
+            for slots in range(4):
+                cubic = _has_completion(degs, slots, 3)
+                assert _feasible(degs, slots, 3) == cubic, (degs, slots)
+                if _has_completion(degs, slots, 2):
+                    assert _feasible(degs, slots, 2), (degs, slots)

@@ -29,7 +29,10 @@ from cubicml.hamsearch import (
     _with_connector,
 )
 from cubicml.constructions import named_graph
-from conftest import prism, random_connected_graph, relabel, shuffled_copy
+from cubicml.constructions import cycle_of_edge_deleted_petersen
+from conftest import (
+    bridged_prisms, prism, random_connected_graph, relabel, shuffled_copy)
+from oracles import ham_path_without_orbits
 
 
 def cycle(n: int) -> Graph:
@@ -305,12 +308,19 @@ def test_search_tree_pinned_on_refutation():
     g = next(f.graph for f in load_fixtures("nontraceable_30_conn3")
              if f.id == "nontraceable_30_c3_01")
     r = has_ham_path(g)
-    assert r.status is Status.NO and r.nodes == 95_474
+    assert r.status is Status.NO and r.nodes == 16_508
     # served from the memo from here on, where a fresh search would agree
     assert has_ham_path(g) == r
-    assert has_ham_path(g, SearchBudget(95_474)) == r
-    cut = has_ham_path(g, SearchBudget(95_473))
-    assert cut.status is Status.INDETERMINATE and cut.nodes == 95_474
+    assert has_ham_path(g, SearchBudget(16_508)) == r
+    cut = has_ham_path(g, SearchBudget(16_507))
+    assert cut.status is Status.INDETERMINATE and cut.nodes == 16_508
+
+
+def test_fixture_refutations_pinned():
+    results = [has_ham_path(f.graph) for f in load_fixtures()
+               if not f.traceable]
+    assert len(results) == 19 and all(r.is_no for r in results)
+    assert sum(r.nodes for r in results) == 452_644
 
 
 @pytest.mark.parametrize("query, nodes, witness", [
@@ -442,3 +452,88 @@ def test_memo_is_bounded(monkeypatch):
     assert len(hamsearch._memo) == hamsearch._MEMO_CAP == 32
     assert ("cycle", cycle(102).adj) in hamsearch._memo
     assert ("path", cycle(3).adj) not in hamsearch._memo
+
+
+# --- starts skipped by automorphism orbits ---------------------------------
+
+
+def _agrees_without_orbits(g: Graph, budgets=(0, 1, 2, 10, 100)) -> None:
+    """``has_ham_path`` finds the witness the orbit-free driver finds, or
+    refutes what it refutes, in no more nodes, under every budget."""
+    ref = ham_path_without_orbits(g)
+    r = has_ham_path(g)
+    assert (r.status, r.witness) == (ref.status, ref.witness)
+    assert r.nodes <= ref.nodes
+    for max_nodes in {*budgets, ref.nodes // 2, r.nodes - 1}:
+        if max_nodes < 0:
+            continue
+        budget = SearchBudget(max_nodes)
+        cut, ref_cut = has_ham_path(g, budget), ham_path_without_orbits(g, budget)
+        assert cut.nodes <= ref_cut.nodes
+        if cut.status is Status.INDETERMINATE:
+            assert ref_cut.status is Status.INDETERMINATE
+            assert cut.nodes == max_nodes + 1
+        else:
+            assert (cut.status, cut.witness) == (ref.status, ref.witness)
+
+
+def test_orbit_skip_agrees_on_random_graphs(monkeypatch):
+    monkeypatch.setattr(hamsearch, "_memo", {})
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        _agrees_without_orbits(
+            random_connected_graph(rng, n, rng.choice((0.25, 0.4, 0.6))))
+
+
+def test_orbit_skip_agrees_on_fixtures(monkeypatch):
+    monkeypatch.setattr(hamsearch, "_memo", {})
+    for f in load_fixtures():
+        _agrees_without_orbits(f.graph, budgets=(0, 10, 1000))
+
+
+def test_orbit_skip_agrees_on_symmetric_graphs(monkeypatch):
+    monkeypatch.setattr(hamsearch, "_memo", {})
+    rng = random.Random(15)
+    for g in [prism(k) for k in range(3, 9)] + [
+            petersen(), cycle_of_edge_deleted_petersen(3)]:
+        _agrees_without_orbits(g)
+        _agrees_without_orbits(shuffled_copy(rng, g)[0])
+
+
+def _count_labeling(monkeypatch) -> list[int]:
+    """Route ``has_ham_path``'s labeling through a wrapper that records
+    every unit of work it steps."""
+    real = hamsearch.canonical_steps
+    units: list[int] = []
+
+    def counted(g, colors=None):
+        steps = real(g, colors)
+        while True:
+            try:
+                unit = next(steps)
+            except StopIteration as stop:
+                return stop.value
+            units.append(unit)
+            yield unit
+
+    monkeypatch.setattr(hamsearch, "canonical_steps", counted)
+    monkeypatch.setattr(hamsearch, "_memo", {})
+    return units
+
+
+def test_labeling_is_paid_for_by_search_nodes(monkeypatch):
+    units = _count_labeling(monkeypatch)
+    g = bridged_prisms()
+    r = has_ham_path(g, SearchBudget(20_000))
+    assert r.status is Status.INDETERMINATE and r.nodes == 20_001
+    assert 0 < sum(units) <= r.nodes + g.n
+    rng = random.Random(16)
+    graphs = [f.graph for f in load_fixtures()]
+    graphs += [random_connected_graph(rng, rng.randint(3, 10), 0.3)
+               for _ in range(100)]
+    for g in graphs:
+        for budget in (SearchBudget(), SearchBudget(500)):
+            units.clear()
+            r = has_ham_path(g, budget)
+            assert sum(units) <= r.nodes + g.n
