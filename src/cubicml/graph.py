@@ -154,10 +154,6 @@ def is_cubic(g: Graph) -> bool:
     return g.n > 0 and all(a.bit_count() == 3 for a in g.adj)
 
 
-def _is_complete(g: Graph) -> bool:
-    return all(g.adj[v] == g.full_mask() ^ (1 << v) for v in range(g.n))
-
-
 def cut_vertices(adj: Sequence[int], allowed: int) -> int:
     """Mask of the cut vertices of the connected graph induced on the
     non-empty vertex set ``allowed``.
@@ -206,8 +202,23 @@ def cut_vertices(adj: Sequence[int], allowed: int) -> int:
 def vertex_connectivity_capped(g: Graph, cap: int) -> int:
     """min(vertex connectivity, cap) for cap in {1, 2, 3}; disconnected -> 0.
 
-    A cut vertex is found by one depth-first search; a separating pair
-    {u, w} as a cut vertex w of G - u, one search per u.
+    With maximum degree at most 3 the answer is the edge connectivity λ,
+    read from cycle-space labels in linear time (``_edge_cuts_capped``).
+    κ = λ there (West, *Introduction to Graph Theory*, §4.1).  κ ≤ λ
+    always, and only κ ≤ 2 lies below the cap: then a minimum separating
+    set S splits G - S into a component H and the non-empty rest R.  Each
+    s in S has a neighbour in H and one in R (else S - s separates), so
+    with degree ≤ 3 it has exactly one on some side; cut that edge and put
+    s on the other side.  If S = {s, t} is an edge and s, t land on
+    opposite sides, s has exactly one neighbour in each of H and R, so
+    move s to t's side instead.  The |S| cut edges then separate H's side
+    from R's, so λ ≤ κ.
+
+    Graphs with a vertex of degree ≥ 4 fall back to deletion: a cut vertex
+    is found by one depth-first search, a separating pair {u, w} as a cut
+    vertex w of G - u.  Complete graphs need no case of their own: K2, K3
+    and K4 take the label pass (κ = λ = n - 1), and a larger one has
+    κ = n - 1 ≥ 4, so the deletion finds no cut.
     """
     if cap not in (1, 2, 3):
         raise GraphError(f"cap must be 1, 2 or 3, got {cap}")
@@ -215,15 +226,67 @@ def vertex_connectivity_capped(g: Graph, cap: int) -> int:
         return 0
     if g.n <= 1:
         return 0
-    if _is_complete(g):
-        return min(g.n - 1, cap)
+    if cap == 1:
+        return 1
+    if all(a.bit_count() <= 3 for a in g.adj):
+        return _edge_cuts_capped(g, cap)
     full = g.full_mask()
-    if cap > 1 and cut_vertices(g.adj, full):
+    if cut_vertices(g.adj, full):
         return 1
     if cap > 2 and any(cut_vertices(g.adj, full & ~(1 << u))
                        for u in range(g.n)):
         return 2
     return cap
+
+
+def _edge_cuts_capped(g: Graph, cap: int) -> int:
+    """min(edge connectivity, cap) of a connected graph on >= 2 vertices,
+    for cap in {2, 3}, by one spanning-tree pass (Pritchard & Thurimella,
+    *Fast computation of small cuts via cycle space sampling*, 2011).
+
+    Each non-tree edge gets its own bit; a tree edge's label is the XOR of
+    the bits of the non-tree edges whose fundamental cycle passes through
+    it, which is the XOR over the tree edge's lower subtree of each
+    vertex's incident non-tree bits (an edge with both ends below cancels).
+    The fundamental cycles span the cycle space, so an edge set F meets
+    every cycle an even number of times, that is F is a cut δ(X), exactly
+    when the labels of F XOR to zero.  Hence:
+
+    - e is a bridge iff its label is zero; a non-tree edge's never is;
+    - two non-bridges e, f form a cut iff their labels are equal: either
+      two tree edges, or a tree edge whose label is the single bit of the
+      non-tree edge f (two non-tree bits always differ).
+
+    Removing two edges disconnects G only if they contain a bridge or are a
+    cut δ(X), so the labels decide λ ≤ 1, λ = 2 and λ ≥ 3 exactly.
+    """
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    for v in order:  # breadth-first: the tree needs no recursion
+        for w in bits(g.adj[v]):
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    label = [0] * g.n  # own non-tree bits, then the subtree XOR
+    bit = 1
+    for u in range(g.n):
+        for v in bits(g.adj[u]):
+            if v < u and parent[u] != v and parent[v] != u:
+                label[u] ^= bit
+                label[v] ^= bit
+                bit <<= 1
+    seen = set()
+    two_cut = False
+    for v in reversed(order[1:]):  # children before parents
+        x = label[v]
+        if not x:
+            return 1
+        if x & (x - 1) == 0 or x in seen:
+            two_cut = True
+        seen.add(x)
+        label[parent[v]] ^= x
+    return 2 if two_cut else cap
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:

@@ -25,7 +25,8 @@ from cubicml.graph import (
     vertex_connectivity_capped,
     write_graph6,
 )
-from conftest import random_graph
+from cubicml.generate import generate_cubic, generate_degree23
+from conftest import bridged_prisms, prism, random_graph
 from oracles import components_after_deletion, is_bipartite
 
 
@@ -116,11 +117,9 @@ def test_vertex_connectivity_capped():
         vertex_connectivity_capped(k4(), 4)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 10), st.floats(0.1, 0.9), st.randoms(use_true_random=False))
-def test_vertex_connectivity_matches_deletion_oracle(n, p, rng):
-    g = random_graph(rng, n, p)
+def _assert_matches_deletion_oracle(g: Graph) -> None:
     # oracle: smallest k whose deletion disconnects g, capped; K_n gives n-1
+    n = g.n
     oracle = min(n - 1, 3)
     for k in range(0, min(n - 1, 3)):
         if any(components_after_deletion(g, cut) > 1
@@ -128,11 +127,50 @@ def test_vertex_connectivity_matches_deletion_oracle(n, p, rng):
             oracle = k
             break
     for cap in (1, 2, 3):
-        assert vertex_connectivity_capped(g, cap) == min(oracle, cap)
+        assert vertex_connectivity_capped(g, cap) == min(oracle, cap), (
+            g.n, g.edges, cap)
     if is_connected(g):
         cuts = mask_of(v for v in range(n)
                        if components_after_deletion(g, [v]) > 1)
         assert cut_vertices(g.adj, g.full_mask()) == cuts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.floats(0.1, 0.9), st.randoms(use_true_random=False))
+def _random_graphs_match_deletion_oracle(n, p, rng):
+    _assert_matches_deletion_oracle(random_graph(rng, n, p))
+
+
+def test_vertex_connectivity_matches_deletion_oracle():
+    """Random draws mostly have a vertex of degree >= 4 (the deletion
+    branch); every graph on <= 6 vertices and the generators' outputs
+    cover the cycle-space label branch for maximum degree <= 3."""
+    _random_graphs_match_deletion_oracle()
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            _assert_matches_deletion_oracle(Graph.from_edges(
+                n, [e for i, e in enumerate(pairs) if chosen >> i & 1]))
+    for n in range(3, 10):
+        generate_degree23(n, _assert_matches_deletion_oracle)
+    for n in range(4, 13, 2):
+        generate_cubic(n, sink=_assert_matches_deletion_oracle)
+
+
+def _two_prisms_joined_by_two_edges() -> Graph:
+    """Two prism(500)s, one missing the edge (250, 251) and the other
+    (0, 1), joined by two edges at those ends: cubic, n = 2,000, κ = 2,
+    with the 2-edge cut about 250 steps from vertex 0."""
+    far = [e for e in prism(500).edges if e != (250, 251)]
+    near = [(1000 + a, 1000 + b) for a, b in prism(500).edges if (a, b) != (0, 1)]
+    return Graph.from_edges(2000, far + near + [(250, 1000), (251, 1001)])
+
+
+def test_vertex_connectivity_at_large_order():
+    # each took about 10 s with one cut-vertex search per deleted vertex
+    assert vertex_connectivity_capped(_two_prisms_joined_by_two_edges(), 3) == 2
+    assert vertex_connectivity_capped(bridged_prisms(), 3) == 1
+    assert vertex_connectivity_capped(prism(1000), 3) == 3
 
 
 def test_induced_subgraph():
