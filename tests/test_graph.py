@@ -161,13 +161,13 @@ def _two_prisms_joined_by_two_edges() -> Graph:
     """Two prism(500)s, one missing the edge (250, 251) and the other
     (0, 1), joined by two edges at those ends: cubic, n = 2,000, κ = 2,
     with the 2-edge cut about 250 steps from vertex 0."""
-    far = [e for e in prism(500).edges if e != (250, 251)]
-    near = [(1000 + a, 1000 + b) for a, b in prism(500).edges if (a, b) != (0, 1)]
+    edges = prism(500).edges
+    far = [e for e in edges if e != (250, 251)]
+    near = [(1000 + a, 1000 + b) for a, b in edges if (a, b) != (0, 1)]
     return Graph.from_edges(2000, far + near + [(250, 1000), (251, 1001)])
 
 
 def test_vertex_connectivity_at_large_order():
-    # each took about 10 s with one cut-vertex search per deleted vertex
     assert vertex_connectivity_capped(_two_prisms_joined_by_two_edges(), 3) == 2
     assert vertex_connectivity_capped(bridged_prisms(), 3) == 1
     assert vertex_connectivity_capped(prism(1000), 3) == 3
