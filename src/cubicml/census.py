@@ -9,11 +9,9 @@ and is re-verified from scratch by ``verify_paper_artifacts``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import repeat
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from .graph import (
     Graph,
@@ -163,33 +161,25 @@ def census_graph(g: Graph, budget: SearchBudget = UNLIMITED) -> tuple[str, int]:
 
 def nontraceable_census(
     sources: Iterable[bytes | str], budget: SearchBudget = UNLIMITED,
-    mapper: Callable[..., Iterable[tuple[str, int]]] = map,
 ) -> tuple[list[CensusRecord], list[str]]:
     """Count non-traceable cubic graphs by order and connectivity class.
 
     ``sources`` is an iterable of graph6 lines.  Non-cubic and malformed
     entries produce per-line diagnostics instead of aborting the stream.
-    ``mapper(census_graph, graphs, budgets)`` classifies the cubic graphs
-    and must yield the results in stream order, as ``map`` does; a process
-    pool's ``map`` spreads the work over processes.
+    Records are counts per order, so the census of a stream split into
+    parts is the sum of the parts' records.
     """
     diagnostics: list[str] = []
-    orders: deque[int] = deque()
-
-    def cubic_graphs() -> Iterator[Graph]:
-        for lineno, g in read_graph6_lines(sources):
-            if isinstance(g, Graph6Error):
-                diagnostics.append(f"line {lineno}: unparsable graph6: {g}")
-            elif not is_cubic(g):
-                diagnostics.append(f"line {lineno}: not cubic, skipped")
-            else:
-                orders.append(g.n)
-                yield g
-
     records: dict[int, CensusRecord] = {}
-    for kind, conn in mapper(census_graph, cubic_graphs(), repeat(budget)):
-        n = orders.popleft()
-        rec = records.setdefault(n, CensusRecord(n))
+    for lineno, g in read_graph6_lines(sources):
+        if isinstance(g, Graph6Error):
+            diagnostics.append(f"line {lineno}: unparsable graph6: {g}")
+            continue
+        if not is_cubic(g):
+            diagnostics.append(f"line {lineno}: not cubic, skipped")
+            continue
+        kind, conn = census_graph(g, budget)
+        rec = records.setdefault(g.n, CensusRecord(g.n))
         rec.total += 1
         if kind == "indeterminate":
             rec.indeterminate += 1

@@ -4,9 +4,7 @@ Subcommands:
 
   analyze      per-graph verdicts (connectivity, traceability, optionally
                ml and the path cover number) for a graph6 stream
-  census       non-traceable counts by order and connectivity class;
-               ``--jobs N`` classifies chunks of graphs in N worker
-               processes and tallies them in stream order
+  census       non-traceable counts by order and connectivity class
   lemma-short  scan for counterexamples to the degree-2-start guarantee
   construct    emit a named construction family member as graph6
   generate     isomorph-free generation of connected cubic graphs
@@ -22,8 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
-from typing import BinaryIO, Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 from .census import (
     lemma_short_scan,
@@ -43,7 +40,7 @@ from .constructions import (
     theta_multigraph,
 )
 from .exact import analyze
-from .generate import generate_cubic
+from .generate import GENERATOR_MAX_DEG23, generate_cubic, generate_degree23
 from .graph import (
     Graph,
     Graph6Error,
@@ -60,6 +57,15 @@ def _g6(g: Graph) -> str:
 
 def _budget(max_nodes: int | None) -> SearchBudget:
     return UNLIMITED if max_nodes is None else SearchBudget(max_nodes)
+
+
+def _max_nodes(text: str) -> int:
+    """argparse type of ``--max-nodes``: a budget below one node would
+    leave every non-trivial query INDETERMINATE."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _open_stream(source: str) -> BinaryIO | TextIO:
@@ -103,23 +109,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return status
 
 
-# Graphs per task under ``census --jobs``: a non-traceable graph costs
-# 10^3-10^4 times a traceable one, so small chunks keep one slow graph from
-# holding many others back, while each still amortises its pickling.
-_CENSUS_CHUNK = 8
-
-
 def _cmd_census(args: argparse.Namespace) -> int:
     budget = _budget(args.max_nodes)
     with _open_stream(args.input) as stream:
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records, diagnostics = nontraceable_census(
-                    stream, budget, partial(pool.map, chunksize=_CENSUS_CHUNK))
-        else:
-            records, diagnostics = nontraceable_census(stream, budget)
+        records, diagnostics = nontraceable_census(stream, budget)
     for msg in diagnostics:
         print(msg, file=sys.stderr)
     for rec in records:
@@ -133,11 +126,6 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _generated_degree23(nmax: int) -> Iterator[Graph]:
-    from .generate import GENERATOR_MAX_DEG23, generate_degree23
-
-    if nmax > GENERATOR_MAX_DEG23:
-        raise GraphError(
-            f"in-repo scan supports nmax <= {GENERATOR_MAX_DEG23}")
     for n in range(3, nmax + 1):
         batch: list[Graph] = []
         generate_degree23(n, batch.append)
@@ -146,21 +134,24 @@ def _generated_degree23(nmax: int) -> Iterator[Graph]:
 
 def _cmd_lemma_short(args: argparse.Namespace) -> int:
     budget = _budget(args.max_nodes)
+    status = 0
     if args.nmax is not None:
-        graphs: Iterable[Graph] = _generated_degree23(args.nmax)
-        result = lemma_short_scan(graphs, budget=budget)
+        # checked up front, not after the scan of every smaller order
+        if not 3 <= args.nmax <= GENERATOR_MAX_DEG23:
+            print(f"lemma-short: in-repo scan supports 3 <= nmax <= "
+                  f"{GENERATOR_MAX_DEG23}", file=sys.stderr)
+            return 2
+        result = lemma_short_scan(_generated_degree23(args.nmax),
+                                  budget=budget)
     else:
         with _open_stream(args.input) as stream:
             parsed: list[Graph] = []
-            status = 0
             for lineno, g in read_graph6_lines(stream):
                 if isinstance(g, Graph6Error):
                     print(f"line {lineno}: {g}", file=sys.stderr)
                     status = 1
                 else:
                     parsed.append(g)
-            if status:
-                return status
         result = lemma_short_scan(parsed, budget=budget)
     print(json.dumps({
         "scanned": result.scanned,
@@ -170,7 +161,8 @@ def _cmd_lemma_short(args: argparse.Namespace) -> int:
         "indeterminate": [
             _g6(g) for g in result.indeterminate],
     }))
-    return 1 if result.counterexamples or result.indeterminate else 0
+    # a malformed line fails the run, as in ``census``
+    return 1 if status or result.counterexamples or result.indeterminate else 0
 
 
 _EXPANSION_HOSTS = {
@@ -267,17 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also compute the minimum leaf number")
     p.add_argument("--mu", action="store_true",
                    help="also compute the path cover number")
-    p.add_argument("--max-nodes", type=int, default=None,
+    p.add_argument("--max-nodes", type=_max_nodes, default=None,
                    help="search node budget per query (default unlimited)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("census", help="non-traceable census of a "
                                       "graph6 stream")
     p.add_argument("input", help="graph6 file, or - for stdin")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="classify the graphs in N worker processes, in "
-                        "chunks, reporting in stream order")
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--max-nodes", type=_max_nodes, default=None)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("lemma-short",
@@ -289,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "this order")
     group.add_argument("input", nargs="?", default=None,
                        help="graph6 file, or - for stdin")
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--max-nodes", type=_max_nodes, default=None)
     p.set_defaults(func=_cmd_lemma_short)
 
     p = sub.add_parser("construct", help="emit a construction as graph6")
@@ -311,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper",
                        help="re-verify every embedded fixture")
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--max-nodes", type=_max_nodes, default=None)
     p.set_defaults(func=_cmd_verify_paper)
     return parser
 

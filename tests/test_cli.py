@@ -151,15 +151,13 @@ def test_census_roundtrip(tmp_path, capsys):
                    "indeterminate": 0}
 
 
-def test_census_jobs_reports_stream_line_numbers(tmp_path, capsys):
-    # the malformed line 4 is numbered by the stream, with or without workers
+def test_census_reports_stream_line_numbers(tmp_path, capsys):
     f = tmp_path / "bad.g6"
     f.write_text("C~\nC~\nC~\n\x01bad\n")
-    for argv in (["census", str(f)], ["census", str(f), "--jobs", "2"]):
-        code, out, err = run(capsys, argv)
-        assert code == 1
-        assert err.startswith("line 4: unparsable graph6")
-        assert json.loads(out.strip())["total"] == 3
+    code, out, err = run(capsys, ["census", str(f)])
+    assert code == 1
+    assert err.startswith("line 4: unparsable graph6")
+    assert json.loads(out.strip())["total"] == 3
 
 
 def test_census_fails_on_undecided_lines(tmp_path, capsys):
@@ -177,16 +175,14 @@ def test_census_fails_on_undecided_lines(tmp_path, capsys):
                                       "total": 1, "indeterminate": 1}, ""),
     ]
     for args, record, diagnostic in cases:
-        for jobs in ([], ["--jobs", "2"]):
-            code, out, err = run(capsys, ["census", *args, *jobs])
-            assert code == 1
-            assert json.loads(out) == record
-            assert err.startswith(diagnostic) and bool(err) == bool(diagnostic)
+        code, out, err = run(capsys, ["census", *args])
+        assert code == 1
+        assert json.loads(out) == record
+        assert err.startswith(diagnostic) and bool(err) == bool(diagnostic)
 
 
 @pytest.mark.slow
-def test_census_jobs_matches_single_process(tmp_path, capsys):
-    from cubicml import hamsearch
+def test_census_of_generated_stream_and_fixtures(tmp_path, capsys):
     from cubicml.census import load_fixtures
     from cubicml.generate import generate_cubic
 
@@ -197,13 +193,7 @@ def test_census_jobs_matches_single_process(tmp_path, capsys):
               if f.family != "order18_no_deg2_start"]  # the heavy ones last
     f = tmp_path / "census.g6"
     f.write_text("\n".join(lines) + "\n")
-    # workers first, so that neither run is served by the other's memo
-    hamsearch._memo.clear()
-    jobs = run(capsys, ["census", str(f), "--jobs", "2"])
-    hamsearch._memo.clear()
-    single = run(capsys, ["census", str(f)])
-    assert jobs == single
-    code, out, err = single
+    code, out, err = run(capsys, ["census", str(f)])
     assert code == 1
     first, second = err.splitlines()
     assert first.startswith("line 102: unparsable graph6")
@@ -220,6 +210,38 @@ def test_lemma_short_scan_small(capsys):
     assert code == 0
     rec = json.loads(out.strip())
     assert rec["counterexamples"] == [] and rec["scanned"] == 19
+
+
+@pytest.mark.parametrize("nmax", ["14", "2", "-1"])
+def test_lemma_short_nmax_outside_generator_range_is_usage_error(nmax, capsys):
+    code, out, err = run(capsys, ["lemma-short", "--nmax", nmax])
+    assert code == 2 and out == ""
+    assert err == "lemma-short: in-repo scan supports 3 <= nmax <= 13\n"
+
+
+def test_lemma_short_scans_the_good_lines_of_a_stream(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n\x01bad\nBw\n"))
+    code, out, err = run(capsys, ["lemma-short", "-"])
+    assert code == 1
+    assert err.startswith("line 2: ") and len(err.splitlines()) == 1
+    rec = json.loads(out)
+    assert rec["scanned"] == 2 and rec["counterexamples"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-"], ["census", "-"], ["lemma-short", "-"], ["verify-paper"]])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_max_nodes_below_one_is_usage_error(argv, budget, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-nodes", budget])
+    assert exc.value.code == 2
+    assert "--max-nodes" in capsys.readouterr().err
+
+
+def test_census_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "-", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_construct_families(capsys):
