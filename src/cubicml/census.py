@@ -25,6 +25,7 @@ from .graph import (
     mask_of,
     read_adjacency_file,
     read_graph6_lines,
+    unparsable,
 )
 from .hamsearch import SearchBudget, Status, UNLIMITED, has_ham_path, has_ham_path_from
 from .exact import analyze
@@ -173,7 +174,7 @@ def nontraceable_census(
     records: dict[int, CensusRecord] = {}
     for lineno, g in read_graph6_lines(sources):
         if isinstance(g, Graph6Error):
-            diagnostics.append(f"line {lineno}: unparsable graph6: {g}")
+            diagnostics.append(unparsable(lineno, g))
             continue
         if not is_cubic(g):
             diagnostics.append(f"line {lineno}: not cubic, skipped")

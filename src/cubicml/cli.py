@@ -46,6 +46,7 @@ from .graph import (
     Graph6Error,
     GraphError,
     read_graph6_lines,
+    unparsable,
     write_graph6,
 )
 from .hamsearch import SearchBudget, Status, UNLIMITED
@@ -77,15 +78,24 @@ def _open_stream(source: str) -> BinaryIO | TextIO:
     return open(source, "rb")
 
 
+def _parsed(stream: BinaryIO | TextIO,
+            bad: list[int]) -> Iterator[tuple[int, Graph]]:
+    """The well-formed graphs of ``stream`` with their line numbers; each
+    malformed line is reported on stderr and its number added to ``bad``."""
+    for lineno, g in read_graph6_lines(stream):
+        if isinstance(g, Graph6Error):
+            print(unparsable(lineno, g), file=sys.stderr)
+            bad.append(lineno)
+        else:
+            yield lineno, g
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     budget = _budget(args.max_nodes)
+    bad: list[int] = []
     status = 0
     with _open_stream(args.input) as stream:
-        for lineno, g in read_graph6_lines(stream):
-            if isinstance(g, Graph6Error):
-                print(f"line {lineno}: {g}", file=sys.stderr)
-                status = 1
-                continue
+        for lineno, g in _parsed(stream, bad):
             a = analyze(g, budget, ml=args.ml, mu=args.mu)
             record: dict[str, object] = {
                 "id": lineno, "n": g.n, "connectivity": a.connectivity,
@@ -106,7 +116,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(json.dumps(record), flush=True)
             if undecided:
                 status = 1
-    return status
+    return 1 if bad else status
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -134,7 +144,7 @@ def _generated_degree23(nmax: int) -> Iterator[Graph]:
 
 def _cmd_lemma_short(args: argparse.Namespace) -> int:
     budget = _budget(args.max_nodes)
-    status = 0
+    bad: list[int] = []
     if args.nmax is not None:
         # checked up front, not after the scan of every smaller order
         if not 3 <= args.nmax <= GENERATOR_MAX_DEG23:
@@ -145,14 +155,8 @@ def _cmd_lemma_short(args: argparse.Namespace) -> int:
                                   budget=budget)
     else:
         with _open_stream(args.input) as stream:
-            parsed: list[Graph] = []
-            for lineno, g in read_graph6_lines(stream):
-                if isinstance(g, Graph6Error):
-                    print(f"line {lineno}: {g}", file=sys.stderr)
-                    status = 1
-                else:
-                    parsed.append(g)
-        result = lemma_short_scan(parsed, budget=budget)
+            result = lemma_short_scan((g for _, g in _parsed(stream, bad)),
+                                      budget=budget)
     print(json.dumps({
         "scanned": result.scanned,
         "hypotheses_failed": result.hypotheses_failed,
@@ -162,7 +166,7 @@ def _cmd_lemma_short(args: argparse.Namespace) -> int:
             _g6(g) for g in result.indeterminate],
     }))
     # a malformed line fails the run, as in ``census``
-    return 1 if status or result.counterexamples or result.indeterminate else 0
+    return 1 if bad or result.counterexamples or result.indeterminate else 0
 
 
 _EXPANSION_HOSTS = {

@@ -9,18 +9,20 @@ isomorphism class of states is reached through exactly one parent and one
 attachment orbit — no global seen-set is needed.
 
 The canonical choice is: among the vertices whose removal keeps the graph
-connected, minimise first the pair seed (degree, then the sorted
-common-neighbour and adjacency codes against every other vertex), then the
-colour refined from the seeds, then the position in a canonical labeling.
-Each child meets the exact tests in order of cost, and the first that
-decides it ends the work on it:
+connected, minimise first the pair seed (``pair_seeds``: degree, then the
+counts of common-neighbour and adjacency codes against every other
+vertex), then the colour refined from the seeds, then the position in a
+canonical labeling.  Each child meets the exact tests in order of cost,
+and the first that decides it ends the work on it:
 
-1. degree: the new vertex is always deletable and every seed leads with
-   the degree, so a leaf rejects a new vertex of degree 2 or 3 at once;
-2. cut mask: after it, a deletable vertex of lower degree rejects;
-3. seeds: ``pair_seeds``;
-4. colours: ``seeded_colors``, only when the least seed is tied;
-5. labeling: ``canonical_data``, only when the least colour is tied.
+1. degree sum: decided once per attachment size for a cubic target;
+2. degree: k, the new vertex, and the parent's non-cut vertices stay
+   deletable, so one of them of lower degree rejects k;
+3. seeds: the child's follow from the parent's in O(n) (``_child_seeds``);
+   one of those vertices of lower seed rejects;
+4. cut mask: ``_deletable``, then a deletable vertex of lower seed rejects;
+5. colours: ``seeded_colors``, only when the least seed is tied;
+6. labeling: ``canonical_data``, only when the least colour is tied.
 
 An accepted child keeps what its test computed, and its own children are
 tried from that: the cut mask (a child's cut vertices are its parent's that
@@ -35,7 +37,7 @@ Intended scale: cubic up to n = 20, degree-{2,3} up to n = 13.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 from .graph import Graph, GraphError, bits, spread, vertex_connectivity_capped
 from .isomorphism import CanonicalData, canonical_data, \
@@ -74,28 +76,59 @@ def _deletable(g: Graph, cuts: int,
     return cuts, [v for v in range(g.n) if not cuts >> v & 1]
 
 
-def _feasible(degs: Sequence[int], slots: int, min_final_deg: int) -> bool:
-    """Can the remaining ``slots`` vertices complete the degree targets?
+def _feasible(need: int, slots: int, min_final_deg: int) -> bool:
+    """Can the remaining ``slots`` vertices cover ``need``, the sum of
+    ``min_final_deg`` - degree over the existing vertices below it?
 
-    Every existing vertex must end with degree between ``min_final_deg``
-    and 3, and can gain at most one edge per future vertex.  For a cubic
-    target the future vertices carry 3 * slots degree: ``need`` of it goes
-    to existing vertices, and the rest pairs up among the future vertices,
-    at most one edge per pair.  The first future vertex needs an existing
-    neighbour, so ``need`` is positive while slots remain.
+    The caller checks that no vertex lacks more than ``slots`` edges, one
+    per future vertex.  For a cubic target the future vertices carry
+    3 * slots degree: ``need`` of it goes to existing vertices, and the rest
+    pairs up among the future vertices, at most one edge per pair.  The
+    first future vertex needs an existing neighbour, so ``need`` is
+    positive while slots remain.
     """
-    if min_final_deg - min(degs) > slots:
-        return False
-    need = sum((min_final_deg - j) * degs.count(j)
-               for j in range(min_final_deg))
     if need > 3 * slots:
         return False
     if min_final_deg != 3:
         return True
-    # need is the total deficit, whose change per added vertex is odd
-    # (3 - 2d): it shares parity with the remaining vertices
+    # need changes by the odd 3 - 2d per added vertex: it shares parity
+    # with the remaining vertices
     return ((need - slots) % 2 == 0 and 3 * slots - need <= slots * (slots - 1)
             and (need > 0 or slots == 0))
+
+
+def _child_seeds(g: Graph, seeds: list[tuple[int, ...]],
+                 combo: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """``pair_seeds`` of ``g`` plus a vertex k joined to ``combo``, from
+    ``seeds`` = ``pair_seeds(g)`` in O(n).
+
+    The only pair codes that change are each old vertex's new code with k,
+    the codes inside ``combo`` (one more common neighbour: + 2), and the
+    degrees of ``combo``.
+    """
+    adj = g.adj
+    mask = sum(1 << v for v in combo)
+    out = []
+    new = [0] * (len(seeds[0]) - 1)
+    for u, s in enumerate(seeds):
+        au = adj[u]
+        code = (au & mask).bit_count() << 1 | (mask >> u & 1)
+        new[code] -= 1
+        if not code:
+            out.append((s[0], s[1] - 1, *s[2:]))
+            continue
+        t = list(s)
+        t[1 + code] -= 1
+        if code & 1:
+            t[0] += 1
+            for v in combo:
+                if v != u:
+                    c = (au & adj[v]).bit_count() << 1 | (au >> v & 1)
+                    t[1 + c] += 1
+                    t[3 + c] -= 1
+        out.append(tuple(t))
+    out.append((len(combo), *new))
+    return out
 
 
 def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
@@ -110,8 +143,8 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
     """
     k = g.n
     if k == n:
-        # the last child passed _feasible with no slots left, so every
-        # degree already meets min_final_deg
+        # the last child passed the degree tests with no slots left, so
+        # every degree already meets min_final_deg
         emit(g)
         return
     degs = [len(nb) for nb in nbrs]
@@ -132,9 +165,17 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
             autos = data.automorphisms
     seen: set[frozenset[int]] = set()
     slots_left = n - k - 1
+    cubic = min_final_deg == 3
+    need = 3 * k - sum(degs)
+    # the parent's non-cut vertices stay deletable in every child, but for
+    # the neighbour of a pendant k, which never has a lower degree than k
+    free = [v for v in range(k) if not cuts >> v & 1]
     for d in (1, 2, 3):
         if d > nd:
             break
+        # a cubic child's deficit is need + 3 - 2d: one test per d
+        if cubic and not _feasible(need + 3 - 2 * d, slots_left, 3):
+            continue
         for combo in combinations(deficient, d):
             key = frozenset(combo)
             if key in seen:
@@ -152,17 +193,23 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
             cdegs = degs + [d]
             for v in combo:
                 cdegs[v] += 1
-            if not _feasible(cdegs, slots_left, min_final_deg):
+            low = min(cdegs)
+            if min_final_deg - low > slots_left or not cubic and not \
+                    _feasible(sum(min_final_deg - x for x in cdegs
+                                  if x < min_final_deg), slots_left, 2):
                 continue
             # canonical pick: lexicographically minimal (invariant seed,
             # refined colour, canonical position) among deletable vertices;
-            # accept iff the new vertex k is in the pick's orbit.  A seed
-            # leads with the degree, and k is always deletable, so a
-            # deletable vertex of lower degree rejects k at once; a leaf is
-            # never a cut vertex.  Orbits never cross invariant classes, so
-            # the cheap layers decide most candidates without the labeling.
-            low = min(cdegs)
-            if d > 1 and low == 1:
+            # accept iff the new vertex k is in the pick's orbit.  k is
+            # always deletable and so is every free vertex, so one of lower
+            # degree, then one of lower seed, rejects k before the cut mask
+            # is built.  Orbits never cross invariant classes, so the cheap
+            # layers decide most candidates without the labeling.
+            if low < d and any(cdegs[v] < d for v in free):
+                continue
+            cseeds = _child_seeds(g, seeds, combo)
+            seed = cseeds[k]
+            if any(cseeds[v] < seed for v in free):
                 continue
             cadj = list(g.adj) + [0]
             for v in combo:
@@ -170,14 +217,10 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
                 cadj[k] |= 1 << v
             child = Graph(k + 1, tuple(cadj))
             ccuts, dels = _deletable(child, cuts, combo)
-            if low < d and any(cdegs[v] < d for v in dels):
-                continue
-            cseeds = _pair_seeds(child)
-            minseed = min(cseeds[v] for v in dels)
-            if cseeds[k] != minseed:
+            if any(cseeds[v] < seed for v in dels):
                 continue
             cnbrs = _child_nbrs(nbrs, combo, k)
-            mins0 = [v for v in dels if cseeds[v] == minseed]
+            mins0 = [v for v in dels if cseeds[v] == seed]
             if len(mins0) == 1:
                 _grow(child, cnbrs, ccuts, cseeds, None, None, n,
                       min_final_deg, emit)

@@ -442,3 +442,8 @@ def read_graph6_lines(lines: Iterable[bytes | str]
         except Graph6Error as exc:
             item = exc
         yield lineno, item
+
+
+def unparsable(lineno: int, exc: Graph6Error) -> str:
+    """The diagnostic every command gives for a malformed line."""
+    return f"line {lineno}: unparsable graph6: {exc}"

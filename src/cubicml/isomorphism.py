@@ -57,25 +57,28 @@ def _cells(colors: tuple[int, ...]) -> dict[int, list[int]]:
 
 
 def pair_seeds(g: Graph) -> list[tuple[int, ...]]:
-    """Per-vertex invariant: degree plus the sorted multiset of
-    (common-neighbour count, adjacency) codes against every other vertex.
+    """Per-vertex invariant: degree, then minus the number of other
+    vertices with each pair code 2 * (common neighbours) + (adjacent).
 
+    Codes run to 2 * max(3, maximum degree) + 1, so every seed of a graph
+    has the same length.  Seeds compare as the degree followed by the
+    sorted multiset of codes would: of two equal-size sorted lists, the one
+    holding more of the first code where the counts differ is smaller.
     Subsumes triangle and 4-cycle statistics, so it separates vertices of
     regular graphs that plain degree refinement leaves untouched."""
     adj = g.adj
     n = g.n
-    profiles: list[list[int]] = [[] for _ in range(n)]
+    degs = [a.bit_count() for a in adj]
+    width = 2 * max(3, *degs) + 2 if n else 0
+    counts = [[0] * width for _ in range(n)]
     for u in range(n):
         au = adj[u]
-        pu = profiles[u]
+        cu = counts[u]
         for v in range(u + 1, n):
             code = (au & adj[v]).bit_count() << 1 | (au >> v & 1)
-            pu.append(code)
-            profiles[v].append(code)
-    for v in range(n):
-        profiles[v].sort()
-        profiles[v].insert(0, adj[v].bit_count())
-    return [tuple(p) for p in profiles]
+            cu[code] -= 1
+            counts[v][code] -= 1
+    return [(degs[v], *counts[v]) for v in range(n)]
 
 
 def seeded_colors(g: Graph, seeds: list[tuple[int, ...]],

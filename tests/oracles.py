@@ -141,6 +141,21 @@ def full_canonical_data(g: Graph,
                          tuple(orbit))
 
 
+def sorted_profile_seeds(g: Graph) -> list[tuple[int, ...]]:
+    """``isomorphism.pair_seeds`` as first written: the degree, then the
+    sorted codes 2 * (common neighbours) + (adjacent) against every other
+    vertex.  ``pair_seeds`` must order vertices exactly as these do."""
+    adj = g.adj
+    n = g.n
+    profiles: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            code = (adj[u] & adj[v]).bit_count() << 1 | (adj[u] >> v & 1)
+            profiles[u].append(code)
+            profiles[v].append(code)
+    return [(adj[v].bit_count(), *sorted(profiles[v])) for v in range(n)]
+
+
 def group_elements(gens: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
     """Every element of the permutation group that the non-empty ``gens``
     generate, the identity included, by closure under composition."""

@@ -4,6 +4,7 @@ Each test prints "PASS criterion-N: ..." or "FAIL criterion-N: ..." so the
 verbose run reads as a checklist; the assertion carries the same verdict.
 """
 
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -130,15 +131,25 @@ def test_criterion_3_desk_scale_census():
            "; ".join(details))
 
 
+# sha256 of the ``generate 16`` graph6 lines, one per line
+_GENERATE_16_SHA256 = ("346e694623ac1db4649e7538fc50ae5a20e2cee7dca4dbd61a329a"
+                       "bc604c3fd1")
+
+
 @pytest.mark.slow
 def test_criterion_3_census_extension_n16():
+    """All 4,060 connected cubic graphs on 16 vertices (OEIS A002851), as
+    pinned, and none of them is non-traceable and 2-connected."""
     lines: list[bytes] = []
     generate_cubic(16, sink=lambda g: lines.append(write_graph6(g)))
+    digest = hashlib.sha256(b"".join(line + b"\n" for line in lines))
     records, diagnostics = nontraceable_census(lines)
-    ok = not diagnostics and all(
-        r.conn2 == 0 and r.conn3 == 0 and r.indeterminate == 0
-        for r in records)
-    report(ok, "criterion-3-slow: census extension to n=16 clean")
+    ok = (not diagnostics and digest.hexdigest() == _GENERATE_16_SHA256
+          and [r.total for r in records] == [4060] and all(
+              r.conn2 == 0 and r.conn3 == 0 and r.indeterminate == 0
+              for r in records))
+    report(ok, "criterion-3-slow: census extension to n=16 clean; 4060 "
+               "graphs, output pinned")
 
 
 def test_criterion_4_lemma_short():

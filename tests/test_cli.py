@@ -114,7 +114,8 @@ def test_non_ascii_line_is_a_diagnostic(tmp_path, capsys):
     f.write_bytes(b"C~\n\xc3\xa9\n")
     code, out, err = run(capsys, ["analyze", str(f)])
     assert code == 1
-    assert err.startswith("line 2: non-ASCII byte 0xc3 (byte offset 0)")
+    assert err.startswith(
+        "line 2: unparsable graph6: non-ASCII byte 0xc3 (byte offset 0)")
     assert json.loads(out.strip())["n"] == 4
     code, out, err = run(capsys, ["census", str(f)])
     assert code == 1
@@ -226,6 +227,19 @@ def test_lemma_short_scans_the_good_lines_of_a_stream(capsys, monkeypatch):
     assert err.startswith("line 2: ") and len(err.splitlines()) == 1
     rec = json.loads(out)
     assert rec["scanned"] == 2 and rec["counterexamples"] == []
+
+
+def test_malformed_line_has_one_diagnostic(capsys, monkeypatch):
+    # every stream command reports the bad line alike, keeps going and fails
+    seen = set()
+    for command in ("analyze", "census", "lemma-short"):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n\x01bad\nBw\n"))
+        code, _, err = run(capsys, [command, "-"])
+        assert code == 1
+        seen.update(line for line in err.splitlines()
+                    if line.startswith("line 2: "))
+    assert len(seen) == 1
+    assert seen.pop().startswith("line 2: unparsable graph6: character ")
 
 
 @pytest.mark.parametrize("argv", [

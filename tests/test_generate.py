@@ -8,7 +8,7 @@ import pytest
 from cubicml import generate
 from cubicml.graph import Graph, GraphError, cut_vertices, is_connected, \
     is_cubic, vertex_connectivity_capped, write_graph6
-from cubicml.isomorphism import canonical_form
+from cubicml.isomorphism import canonical_form, pair_seeds
 from cubicml.generate import _feasible, generate_cubic, generate_degree23
 
 
@@ -145,10 +145,45 @@ def test_cubic_output_pinned(min_conn):
     assert digest == _PINNED_CUBIC_12[min_conn]
 
 
+@pytest.mark.slow
+def test_cubic_output_pinned_n14():
+    # the graph6 stream that the benchmark's census workload reads
+    digest = _graph6_digest(lambda sink: generate_cubic(14, sink=sink))
+    assert digest == ("75a851b4c66405eff745456a244815791d628a02aff2e9a67aa549"
+                      "3bcf5e4bb1")
+
+
 def test_degree23_output_pinned():
     digests = {n: _graph6_digest(lambda sink: generate_degree23(n, sink))
                for n in _PINNED_DEGREE23}
     assert digests == _PINNED_DEGREE23
+
+
+def test_child_seeds_match_pair_seeds(monkeypatch):
+    """Every child whose seeds the generator derives from its parent's gets
+    the seeds ``pair_seeds`` computes from scratch, and so does every
+    parent it derives them from."""
+    child_seeds = generate._child_seeds
+    tried = 0
+
+    def checked(g, seeds, combo):
+        nonlocal tried
+        tried += 1
+        assert seeds == pair_seeds(g)
+        got = child_seeds(g, seeds, combo)
+        adj = list(g.adj) + [0]
+        for v in combo:
+            adj[v] |= 1 << g.n
+            adj[g.n] |= 1 << v
+        assert got == pair_seeds(Graph(g.n + 1, tuple(adj)))
+        return got
+
+    monkeypatch.setattr(generate, "_child_seeds", checked)
+    for n in range(4, 13, 2):
+        generate_cubic(n)
+    for n in range(3, 10):
+        generate_degree23(n)
+    assert tried > 0
 
 
 def test_inherited_cut_mask_matches_dfs(monkeypatch):
@@ -191,6 +226,14 @@ def _has_completion(degs, slots, min_final_deg):
     return False
 
 
+def _fits(degs, slots, min_final_deg):
+    """The generator's degree tests: the least degree, then ``_feasible``
+    on the total deficit."""
+    need = sum(min_final_deg - x for x in degs if x < min_final_deg)
+    return (min_final_deg - min(degs) <= slots
+            and _feasible(need, slots, min_final_deg))
+
+
 def test_feasible_matches_brute_force_completion():
     # every state of the generator has at least one vertex; a cubic target
     # is decided exactly, a {2,3} one never rejects a completable state
@@ -198,6 +241,6 @@ def test_feasible_matches_brute_force_completion():
         for degs in product(range(4), repeat=size):
             for slots in range(4):
                 cubic = _has_completion(degs, slots, 3)
-                assert _feasible(degs, slots, 3) == cubic, (degs, slots)
+                assert _fits(degs, slots, 3) == cubic, (degs, slots)
                 if _has_completion(degs, slots, 2):
-                    assert _feasible(degs, slots, 2), (degs, slots)
+                    assert _fits(degs, slots, 2), (degs, slots)

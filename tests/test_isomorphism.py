@@ -20,7 +20,8 @@ from cubicml.isomorphism import (
     seeded_colors,
 )
 from conftest import random_graph, shuffled_copy
-from oracles import find_isomorphism, full_canonical_data, group_elements
+from oracles import find_isomorphism, full_canonical_data, group_elements, \
+    sorted_profile_seeds
 
 
 def cycle(n: int) -> Graph:
@@ -62,6 +63,23 @@ def test_pair_seeds_separate_nonsimilar_vertices():
     seeds = pair_seeds(g)
     assert seeds[1] == seeds[2]
     assert len({seeds[0], seeds[1], seeds[3]}) == 3
+
+
+def test_pair_seeds_order_vertices_as_sorted_profiles():
+    """The count form orders and ties vertices exactly as the sorted
+    profiles do, on sparse graphs and on dense ones of degree above 3."""
+    rng = random.Random(17)
+    top = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 14),
+                         rng.choice((0.15, 0.3, 0.6, 0.9)))
+        new, old = pair_seeds(g), sorted_profile_seeds(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                assert (new[u] < new[v]) == (old[u] < old[v])
+                assert (new[u] == new[v]) == (old[u] == old[v])
+        top = max(top, *g.degrees())
+    assert top > 3
 
 
 def test_isomorphic_to_relabeling():
