@@ -73,12 +73,14 @@ def load_fixtures(family: str | None = None) -> list[Fixture]:
 
 
 def lemma_short_hypotheses(g: Graph,
-                           budget: SearchBudget = UNLIMITED) -> tuple[bool, str | None]:
+                           budget: SearchBudget = UNLIMITED,
+                           ) -> tuple[bool | None, str | None]:
     """Hypotheses for the degree-2-start traceability guarantee.
 
     Connected, all degrees in {2, 3}, at least two degree-2 vertices,
     every cut vertex leaves a degree-2 vertex in each component, and the
-    graph is traceable.  Returns (ok, failing clause).
+    graph is traceable.  Returns (ok, failing clause); ok is None when the
+    budget cut the traceability search.
     """
     degs, _, deg2 = degree_profile(g)
     if g.n == 0 or any(d not in (2, 3) for d in degs):
@@ -95,7 +97,7 @@ def lemma_short_hypotheses(g: Graph,
                 return False, f"cut vertex {v}: a component has no degree-2 vertex"
     r = has_ham_path(g, budget)
     if r.status is Status.INDETERMINATE:
-        return False, "traceability indeterminate under budget"
+        return None, "traceability indeterminate under budget"
     if r.is_no:
         return False, "not traceable"
     return True, None
@@ -118,6 +120,9 @@ def lemma_short_scan(graphs: Iterable[Graph],
     for g in graphs:
         result.scanned += 1
         ok, _ = lemma_short_hypotheses(g, budget)
+        if ok is None:
+            result.indeterminate.append(g)
+            continue
         if not ok:
             result.hypotheses_failed += 1
             continue

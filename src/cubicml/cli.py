@@ -313,11 +313,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"cubicml: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except OSError as exc:
+        # a missing file, a directory, a file we may not read or write
+        print(f"cubicml: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -188,7 +188,7 @@ def optimize_cover(g: Graph, c: VdpCover,
 
 def reroute_short_path(g: Graph, c: VdpCover, i: int,
                        budget: SearchBudget = UNLIMITED,
-                       target_ok=None) -> AttachmentPlan:
+                       avoid=None) -> AttachmentPlan:
     """Reroute short path ``i`` so its first vertex anchors to another path.
 
     Candidate reroutes are hamiltonian paths of the induced subgraph on
@@ -196,9 +196,9 @@ def reroute_short_path(g: Graph, c: VdpCover, i: int,
     host, therefore has an outside neighbour).  The original path is reused
     when its own endpoint qualifies.  Among the feasible anchors, the one
     landing on the longest other path wins, ties to the smallest path
-    index, then the smallest anchor vertex.  ``target_ok``, if given,
-    restricts the admissible anchor vertices (used by the tree assembly to
-    rule out anchors that would close a cycle).
+    index, then the smallest anchor vertex.  An anchor vertex for which
+    ``avoid``, if given, is true loses to every other anchor (the tree
+    assembly avoids anchors that would close a cycle).
     """
     if not (0 <= i < len(c.paths)):
         raise CoverError(f"path index {i} out of range")
@@ -208,15 +208,13 @@ def reroute_short_path(g: Graph, c: VdpCover, i: int,
             f"path {i} has {len(p)} vertices, not short (< {SHORT_THRESHOLD})")
     sub, vmap = induced_subgraph(g, p)
     back = {orig: k for k, orig in enumerate(vmap)}
-    owner: dict[int, int] = {
-        v: j for j, q in enumerate(c.paths) for v in q
-    }
+    owner = {v: j for j, q in enumerate(c.paths) for v in q}
 
     starts: list[int] = []
     for v in (p[0], p[-1], *p):
         if v not in starts and sub.degree(back[v]) <= 2:
             starts.append(v)
-    best: tuple[tuple[int, int, int, int], AttachmentPlan] | None = None
+    best: tuple[tuple[bool, int, int, int, int], AttachmentPlan] | None = None
     for order, v in enumerate(starts):
         if v == p[0]:
             route = p
@@ -226,14 +224,12 @@ def reroute_short_path(g: Graph, c: VdpCover, i: int,
             r = has_ham_path_from(sub, back[v], budget)
             if not r.is_yes:
                 continue
-            assert r.witness is not None
             route = tuple(vmap[w] for w in r.witness)
         external = [w for w in g.neighbors(v) if w not in back]
         for ext in external:
-            if target_ok is not None and not target_ok(ext):
-                continue
             j = owner[ext]
-            key = (-len(c.paths[j]), j, ext, order)
+            key = (avoid is not None and avoid(ext),
+                   -len(c.paths[j]), j, ext, order)
             if best is None or key < best[0]:
                 best = (key, AttachmentPlan(route, (v, ext)))
     if best is None:
@@ -255,7 +251,6 @@ def cover_to_tree(g: Graph, c: VdpCover,
     if not c.validate(g):
         raise CoverError("cover does not partition the graph into paths")
     n = g.n
-    edges: list[tuple[int, int]] = []
     comp = list(range(n))
 
     def find(v: int) -> int:
@@ -264,64 +259,41 @@ def cover_to_tree(g: Graph, c: VdpCover,
             v = comp[v]
         return v
 
-    def union(u: int, v: int) -> None:
+    def union(u: int, v: int) -> bool:
         ru, rv = find(u), find(v)
-        if ru != rv:
-            comp[ru] = rv
+        comp[ru] = rv
+        return ru != rv
 
-    for q in c.paths:
+    paths = list(c.paths)
+    for q in paths:
         for u, v in zip(q, q[1:]):
-            edges.append((u, v))
             union(u, v)
 
+    anchors: list[tuple[int, int]] = []
     failures = 0
-    order = sorted(
-        (j for j, q in enumerate(c.paths) if len(q) < SHORT_THRESHOLD),
-        key=lambda j: (len(c.paths[j]), j),
-    )
-    for j in order:
-        if len(c.paths) == 1:
-            break
+    # a lone path is a spanning tree already
+    short = [] if len(c.paths) == 1 else [
+        j for j, q in enumerate(c.paths) if len(q) < SHORT_THRESHOLD]
+    for j in sorted(short, key=lambda j: (len(c.paths[j]), j)):
         home = find(c.paths[j][0])
         try:
             plan = reroute_short_path(
-                g, c, j, budget, target_ok=lambda ext: find(ext) != home)
+                g, c, j, budget, avoid=lambda ext: find(ext) == home)
         except NoAttachmentError:
-            try:
-                reroute_short_path(g, c, j, budget)
-                # attachable, but only into its own component: an earlier
-                # anchor already connected this path, so no edge is needed
-                continue
-            except NoAttachmentError:
-                failures += 1
-                continue
-        old = {frozenset(e) for e in zip(c.paths[j], c.paths[j][1:])}
-        new = list(zip(plan.path, plan.path[1:]))
-        keep = {frozenset(e) for e in new}
-        if old != keep:
-            own = set(c.paths[j])
-            edges = [
-                e for e in edges
-                if not (e[0] in own and e[1] in own) or frozenset(e) in keep
-            ]
-            # edges the reroute shares with the old path are already kept
-            edges.extend(e for e in new if frozenset(e) not in old)
-        edges.append(plan.anchor)
-        union(*plan.anchor)
+            failures += 1
+            continue
+        # an anchor into its own part means an earlier anchor already
+        # connected this path, so no edge is needed
+        if union(*plan.anchor):
+            paths[j] = plan.path
+            anchors.append(plan.anchor)
 
-    # arbitrary-edge joins for whatever is still split (and for failures)
-    roots = {find(v) for v in range(n)}
-    while len(roots) > 1:
-        added = False
-        for u, v in g.edges:
-            if find(u) != find(v):
-                edges.append((u, v))
-                union(u, v)
-                added = True
-                break
-        if not added:
-            raise CoverError("graph is disconnected; no spanning tree exists")
-        roots = {find(v) for v in range(n)}
+    edges = [e for q in paths for e in zip(q, q[1:])] + anchors
+    if len(edges) < n - 1:
+        # arbitrary-edge joins for whatever is still split (and for failures)
+        edges += [(u, v) for u, v in g.edges if union(u, v)]
+    if len(edges) < n - 1:
+        raise CoverError("graph is disconnected; no spanning tree exists")
 
     tree = SpanningTree.from_edges(n, edges)
     require_witness(tree.validate(g), "cover spanning tree")

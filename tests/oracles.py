@@ -6,19 +6,38 @@ means, so a test can check one against the other.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from cubicml.cover import VdpCover, _exchange_once, _merge_once
+from cubicml.cover import (
+    SHORT_THRESHOLD,
+    AttachmentPlan,
+    CoverError,
+    CoverReport,
+    NoAttachmentError,
+    VdpCover,
+    _exchange_once,
+    _merge_once,
+)
 from cubicml.exact import SpanningTree
 from cubicml.graph import (
     Graph,
     GraphError,
     bits,
     connected_components,
+    induced_subgraph,
     is_connected,
     mask_of,
+    require_witness,
 )
-from cubicml.hamsearch import UNLIMITED, SearchBudget, SearchResult, Status, _run
+from cubicml.hamsearch import (
+    UNLIMITED,
+    SearchBudget,
+    SearchResult,
+    Status,
+    _run,
+    has_ham_path_from,
+)
 from cubicml.isomorphism import CanonicalData, _cells, _leaf_form, color_refine
 
 
@@ -324,3 +343,123 @@ def has_exchange_join(g: Graph, c: VdpCover) -> bool:
     |P| <= |Q| at an endvertex of Q (merge or segment transfer)."""
     paths = list(c.paths)
     return _merge_once(g, list(paths)) or _exchange_once(g, list(paths))
+
+
+def filtered_reroute(g: Graph, c: VdpCover, i: int,
+                     budget: SearchBudget = UNLIMITED,
+                     target_ok=None) -> AttachmentPlan:
+    """``cover.reroute_short_path`` with a filter in place of ``avoid``: an
+    anchor vertex that fails ``target_ok`` is never chosen, so no plan
+    exists when every feasible anchor fails it."""
+    p = c.paths[i]
+    if len(p) >= SHORT_THRESHOLD:
+        raise CoverError(f"path {i} is not short")
+    sub, vmap = induced_subgraph(g, p)
+    back = {orig: k for k, orig in enumerate(vmap)}
+    owner = {v: j for j, q in enumerate(c.paths) for v in q}
+    starts: list[int] = []
+    for v in (p[0], p[-1], *p):
+        if v not in starts and sub.degree(back[v]) <= 2:
+            starts.append(v)
+    best = None
+    for order, v in enumerate(starts):
+        if v == p[0]:
+            route = p
+        elif v == p[-1]:
+            route = p[::-1]
+        else:
+            r = has_ham_path_from(sub, back[v], budget)
+            if not r.is_yes:
+                continue
+            route = tuple(vmap[w] for w in r.witness)
+        for ext in g.neighbors(v):
+            if ext in back or (target_ok is not None and not target_ok(ext)):
+                continue
+            j = owner[ext]
+            key = (-len(c.paths[j]), j, ext, order)
+            if best is None or key < best[0]:
+                best = (key, AttachmentPlan(route, (v, ext)))
+    if best is None:
+        raise NoAttachmentError(f"short path {i} admits no rerouted attachment")
+    return best[1]
+
+
+def retrying_cover_to_tree(g: Graph, c: VdpCover,
+                           initial_size: int | None = None,
+                           budget: SearchBudget = UNLIMITED) -> CoverReport:
+    """``cover.cover_to_tree`` as two reroute searches per blocked short
+    path and restarted joins: a path whose every allowed anchor lands in
+    its own part is searched again unfiltered to tell "already connected"
+    from a failure, rerouted paths are spliced into one flat edge list,
+    and leftover parts are joined by rescanning ``g.edges`` from the start
+    after every edge added."""
+    n = g.n
+    edges: list[tuple[int, int]] = []
+    comp = list(range(n))
+
+    def find(v: int) -> int:
+        while comp[v] != v:
+            v = comp[v]
+        return v
+
+    def union(u: int, v: int) -> None:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            comp[ru] = rv
+
+    for q in c.paths:
+        for u, v in zip(q, q[1:]):
+            edges.append((u, v))
+            union(u, v)
+    failures = 0
+    order = sorted(
+        (j for j, q in enumerate(c.paths) if len(q) < SHORT_THRESHOLD),
+        key=lambda j: (len(c.paths[j]), j),
+    )
+    for j in order:
+        if len(c.paths) == 1:
+            break
+        home = find(c.paths[j][0])
+        try:
+            plan = filtered_reroute(
+                g, c, j, budget, target_ok=lambda ext: find(ext) != home)
+        except NoAttachmentError:
+            try:
+                filtered_reroute(g, c, j, budget)
+                continue
+            except NoAttachmentError:
+                failures += 1
+                continue
+        old = {frozenset(e) for e in zip(c.paths[j], c.paths[j][1:])}
+        new = list(zip(plan.path, plan.path[1:]))
+        keep = {frozenset(e) for e in new}
+        if old != keep:
+            own = set(c.paths[j])
+            edges = [e for e in edges
+                     if not (e[0] in own and e[1] in own) or frozenset(e) in keep]
+            edges.extend(e for e in new if frozenset(e) not in old)
+        edges.append(plan.anchor)
+        union(*plan.anchor)
+    while len({find(v) for v in range(n)}) > 1:
+        for u, v in g.edges:
+            if find(u) != find(v):
+                edges.append((u, v))
+                union(u, v)
+                break
+        else:
+            raise CoverError("graph is disconnected; no spanning tree exists")
+    tree = SpanningTree.from_edges(n, edges)
+    require_witness(tree.validate(g), "cover spanning tree")
+    bound = c.short_count + 2 * c.long_count
+    frac = Fraction(13 * n, 85)
+    return CoverReport(
+        initial_size=len(c.paths) if initial_size is None else initial_size,
+        final_size=len(c.paths),
+        sum_squares=c.sum_squares,
+        tree=tree,
+        bound_s_plus_2l=bound,
+        bound_13_85=frac,
+        certified=(failures == 0 and tree.leaf_count <= bound
+                   and Fraction(bound) <= frac),
+        attachment_failures=failures,
+    )

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from cubicml.census import load_fixtures
 from cubicml.cli import main
 from cubicml.graph import Graph, is_cubic, parse_graph6, write_graph6
 from cubicml.constructions import complete_graph, jcell_ring
@@ -229,6 +230,17 @@ def test_lemma_short_scans_the_good_lines_of_a_stream(capsys, monkeypatch):
     assert rec["scanned"] == 2 and rec["counterexamples"] == []
 
 
+def test_lemma_short_budget_cut_traceability_is_indeterminate(tmp_path, capsys):
+    # the hypotheses hold but need a traceability search; a budget that cuts
+    # it leaves the graph undecided, not failed, and the run fails
+    g = load_fixtures("order18_no_deg2_start")[0].graph
+    path = write_stream(tmp_path, [g])
+    code, out, _ = run(capsys, ["lemma-short", path, "--max-nodes", "5"])
+    rec = json.loads(out)
+    assert code == 1
+    assert rec["hypotheses_failed"] == 0 and rec["indeterminate"] == [_g6(g)]
+
+
 def test_malformed_line_has_one_diagnostic(capsys, monkeypatch):
     # every stream command reports the bad line alike, keeps going and fails
     seen = set()
@@ -317,9 +329,17 @@ def test_generate_stream(capsys):
     assert code == 0 and "2 graphs" in err
 
 
-def test_missing_file_exits_2(capsys):
+def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", "/nonexistent/stream.g6"])
     assert code == 2
+    assert err.startswith("cubicml: ") and err.count("\n") == 1
+    # a directory where a file is expected is a usage error, not a traceback
+    for argv in (["analyze", str(tmp_path)], ["census", str(tmp_path)],
+                 ["lemma-short", str(tmp_path)],
+                 ["construct", "jcell_ring", "2", "-o", str(tmp_path)]):
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("cubicml: ") and err.count("\n") == 1, argv
 
 
 # sha256 of the whole verify-paper stdout: its 101 "ok" lines and the summary

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import cubicml.cover as cover
+import oracles
 from cubicml.graph import Graph, is_cubic, parse_graph6
 from cubicml.cover import (
     SHORT_THRESHOLD,
     CoverError,
     LongPathError,
     VdpCover,
+    cover_to_tree,
     initial_vdp_cover,
     optimize_cover,
     reroute_short_path,
@@ -18,7 +21,8 @@ from cubicml.cover import (
 )
 from cubicml.exact import min_leaf_number, path_cover_number
 from conftest import random_cubic_graph
-from oracles import has_exchange_join
+from oracles import (filtered_reroute, has_exchange_join,
+                     retrying_cover_to_tree, tree_edges)
 
 
 def cycle(n: int) -> Graph:
@@ -156,3 +160,83 @@ def test_reroute_keeping_old_edges_gives_a_tree():
     report = run_cover_procedure(g, exact_mu=2)
     assert report.tree.validate(g)
     assert report.certified and report.tree.leaf_count == 3
+
+
+def test_reroute_avoid_ranks_last_what_the_filter_drops():
+    # an avoided anchor loses to every other one: with an allowed anchor the
+    # plan is the filtered one, and without one it is the unfiltered one
+    rng = random.Random(40)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        g = random_cubic_graph(rng, rng.choice((12, 16, 20)), 1)
+        c = optimize_cover(g, initial_vdp_cover(g))
+        for i, p in enumerate(c.paths):
+            if len(p) >= SHORT_THRESHOLD or len(c.paths) == 1:
+                continue
+            avoided = set(rng.sample(range(g.n), rng.randrange(g.n)))
+            plan = reroute_short_path(g, c, i, avoid=avoided.__contains__)
+            try:
+                want = filtered_reroute(
+                    g, c, i, target_ok=lambda v: v not in avoided)
+            except CoverError:
+                want = filtered_reroute(g, c, i)
+            assert plan == want
+            seen[plan.anchor[1] in avoided] += 1
+    assert min(seen.values()) > 0
+
+
+def _counting(monkeypatch, module, name: str) -> list[int]:
+    """Count the calls of ``module.name`` from now on."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cover_to_tree_matches_retrying_oracle(monkeypatch):
+    # One reroute search per short path, anchors kept apart and one join
+    # pass give the same report, parent array included, as a second
+    # unfiltered search for blocked paths and restarted joins.
+    ours = _counting(monkeypatch, cover, "reroute_short_path")
+    theirs = _counting(monkeypatch, oracles, "filtered_reroute")
+    rng = random.Random(39)
+    cases = rerouted = 0
+    for n in range(10, 23, 2):
+        for min_conn in (1, 2, 3) * 4:
+            g = random_cubic_graph(rng, n, min_conn)
+            first = initial_vdp_cover(g)
+            for mu in (None, path_cover_number(g).value):
+                c = optimize_cover(g, first, exact_mu=mu)
+                size = len(first.paths)
+                report = cover_to_tree(g, c, initial_size=size)
+                assert report == retrying_cover_to_tree(g, c, initial_size=size)
+                cases += 1
+                tree = set(tree_edges(report.tree))
+                rerouted += any((min(e), max(e)) not in tree
+                                for q in c.paths for e in zip(q, q[1:]))
+    assert cases == 168
+    # the corpus replaces some path by its reroute, and reaches the blocked
+    # paths that the oracle searches twice
+    assert rerouted > 0
+    assert theirs[0] > ours[0] > 0
+
+
+def test_pinned_reroute_calls_on_ten_vertices(monkeypatch):
+    calls = _counting(monkeypatch, cover, "reroute_short_path")
+    report = run_cover_procedure(parse_graph6("I@YEQISKO"))
+    assert calls[0] == 2
+    assert (report.leaf_count, report.final_size) == (3, 2)
+    assert report.attachment_failures == 0 and not report.certified
+
+
+def test_cover_to_tree_of_disjoint_paths_raises():
+    # each path has no outside neighbour, so neither anchors, and no edge
+    # of the graph joins the two parts
+    h = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    with pytest.raises(CoverError):
+        cover_to_tree(h, VdpCover(((0, 1, 2), (3, 4, 5))))
