@@ -16,9 +16,7 @@ from typing import Iterable
 from .graph import (
     Graph,
     Graph6Error,
-    bits,
     connected_components,
-    cut_vertices,
     degree_profile,
     is_connected,
     is_cubic,
@@ -80,7 +78,9 @@ def lemma_short_hypotheses(g: Graph,
     Connected, all degrees in {2, 3}, at least two degree-2 vertices,
     every cut vertex leaves a degree-2 vertex in each component, and the
     graph is traceable.  Returns (ok, failing clause); ok is None when the
-    budget cut the traceability search.
+    budget cut the traceability search.  Every vertex is tried as a cut
+    vertex: any other leaves one component, which holds a degree-2 vertex
+    since there are two.
     """
     degs, _, deg2 = degree_profile(g)
     if g.n == 0 or any(d not in (2, 3) for d in degs):
@@ -91,7 +91,7 @@ def lemma_short_hypotheses(g: Graph,
         return False, "fewer than two degree-2 vertices"
     full = g.full_mask()
     deg2_mask = mask_of(deg2)
-    for v in bits(cut_vertices(g.adj, full)):
+    for v in range(g.n):
         for comp in connected_components(g, full & ~(1 << v)):
             if comp & deg2_mask == 0:
                 return False, f"cut vertex {v}: a component has no degree-2 vertex"
@@ -260,7 +260,8 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
     scan = lemma_short_scan((f.graph for f in lemma_fixtures), budget=budget)
     checks.append(Check(
         "order18_no_deg2_start", "all are counterexamples",
-        len(lemma_fixtures), len(scan.counterexamples)))
+        len(lemma_fixtures),
+        None if scan.indeterminate else len(scan.counterexamples)))
     checks.append(Check(
         "order18_no_deg2_start", "pairwise non-isomorphic", True,
         _distinct([canonical_form(f.graph) for f in lemma_fixtures])))

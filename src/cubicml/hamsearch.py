@@ -70,23 +70,21 @@ when the rest has more than L + e components or more than 2(L + e) such
 vertices.  Children go by (residual degree, vertex), then "end".  The
 component count is kept like the low mask, around the vertex just added.
 
-The whole-graph queries, ``has_ham_path``, ``has_ham_cycle`` and
-``has_leg_cover``, keep their YES and NO results in a small memo keyed by
-the query (with p and the start rule for a leg cover) and the adjacency
-tuple, since the ml and mu ladders and the cover pipeline ask them again of
-the same graph.  It holds at most 32 entries and drops the
-oldest first; an INDETERMINATE result is never kept.  A kept result is
-served only when the budget is unlimited or at least its node count.  The
-engine is deterministic and gives up only once its count exceeds the
-budget, so that is exactly when a fresh search would return the same
-status, witness and node count.  A served witness is checked again.
+``has_ham_path`` and ``has_leg_cover`` keep their last 16 answers each
+(``functools.lru_cache``), keyed by the exact question: the graph, the
+budget and, for a leg cover, p and the start rule.  The engine is
+deterministic, so a kept answer, INDETERMINATE included, is what a fresh
+search would return.  Callers ask again within a few questions, and one
+``verify_paper_artifacts`` pass asks 23 paths and 19 leg covers, so a
+repeated pass searches again, as each CLI run does.  Every query returns
+through ``_checked``, so each YES witness is checked, kept or fresh.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Generator, Iterator
 
 from .graph import (
@@ -433,22 +431,28 @@ def check_legs_witness(g: Graph, legs: tuple[tuple[int, ...], ...], p: int,
     return True
 
 
-def _check_witness(g: Graph, kind: str | tuple[str, int], w: tuple) -> None:
-    if kind == "cycle":
-        require_witness(check_path_witness(g, w) and g.has_edge(w[-1], w[0]),
-                        "hamiltonian cycle")
-    elif kind == "path":
-        require_witness(check_path_witness(g, w), "hamiltonian path")
+def _checked(g: Graph, kind: tuple, r: SearchResult) -> SearchResult:
+    """``r``, once its witness is checked to answer ``kind``: ("path",),
+    ("cycle",), ("from", s), ("between", a, b), or a leg cover
+    ("free" or "attached", p)."""
+    if not r.is_yes:
+        return r
+    w, rule = r.witness, kind[0]
+    if rule in ("free", "attached"):
+        ok = check_legs_witness(g, w, kind[1], rule == "attached")
     else:
-        rule, p = kind
-        require_witness(check_legs_witness(g, w, p, rule == "attached"),
-                        f"{rule} cover by {p} legs")
+        ok = check_path_witness(g, w) and (
+            rule == "path"
+            or rule == "cycle" and g.has_edge(w[-1], w[0])
+            or rule == "from" and w[0] == kind[1]
+            or rule == "between" and (w[0], w[-1]) == kind[1:])
+    require_witness(ok, f"answer to {kind}")
+    return r
 
 
 def _run(g: Graph, budget: SearchBudget,
-         find: Callable[[_Engine], tuple | None],
-         kind: str | tuple[str, int] = "path") -> SearchResult:
-    """``find`` on a fresh engine, its witness checked, as a result."""
+         find: Callable[[_Engine], tuple | None]) -> SearchResult:
+    """``find`` on a fresh engine, as a result."""
     engine = _Engine(g, budget)
     try:
         w = find(engine)
@@ -456,7 +460,6 @@ def _run(g: Graph, budget: SearchBudget,
         return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
     if w is None:
         return SearchResult(Status.NO, nodes=engine.nodes)
-    _check_witness(g, kind, w)
     return SearchResult(Status.YES, w, engine.nodes)
 
 
@@ -467,44 +470,21 @@ def has_ham_path_from(g: Graph, start: int,
         raise GraphError(f"start vertex {start} out of range")
     if not is_connected(g):
         return SearchResult(Status.NO)
-    return _run(g, budget, lambda e: e.search([start], -1))
+    return _checked(g, ("from", start),
+                    _run(g, budget, lambda e: e.search([start], -1)))
 
 
 def has_ham_path_between(g: Graph, a: int, b: int,
                          budget: SearchBudget = UNLIMITED) -> SearchResult:
-    """Hamiltonian path with endpoints exactly {a, b}."""
+    """Hamiltonian path from ``a`` to ``b``."""
     if a == b:
         raise GraphError("endpoints must be distinct")
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise GraphError("endpoint out of range")
     if not is_connected(g):
         return SearchResult(Status.NO)
-    return _run(g, budget, lambda e: e.search([a], 1 << b))
-
-
-_MEMO_CAP = 32
-_memo: dict[tuple[str | tuple[str, int], tuple[int, ...]], SearchResult] = {}
-_memo_lock = threading.Lock()
-
-
-def _memoised(kind: str | tuple[str, int],
-              search: Callable[[Graph, SearchBudget], SearchResult],
-              g: Graph, budget: SearchBudget) -> SearchResult:
-    """``search(g, budget)``, or the kept answer it would return."""
-    key = (kind, g.adj)
-    kept = _memo.get(key)
-    if kept is not None and (budget.max_nodes is None
-                             or kept.nodes <= budget.max_nodes):
-        if kept.is_yes:
-            _check_witness(g, kind, kept.witness)
-        return kept
-    r = search(g, budget)
-    if r.status is not Status.INDETERMINATE:
-        with _memo_lock:
-            if len(_memo) >= _MEMO_CAP:
-                del _memo[next(iter(_memo))]
-            _memo[key] = r
-    return r
+    return _checked(g, ("between", a, b),
+                    _run(g, budget, lambda e: e.search([a], 1 << b)))
 
 
 def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
@@ -518,9 +498,10 @@ def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     would shift every mask by one bit, moving vertex 29 of a 30-vertex
     graph into a second CPython integer digit, and measured slower.
     """
-    return _memoised("path", _ham_path, g, budget)
+    return _checked(g, ("path",), _ham_path(g, budget))
 
 
+@lru_cache(maxsize=16)
 def _ham_path(g: Graph, budget: SearchBudget) -> SearchResult:
     if g.n == 0 or not is_connected(g):
         return SearchResult(Status.NO)
@@ -536,15 +517,12 @@ def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     Anchored at vertex 0; the symmetry second-vertex < last-vertex halves
     the traversal directions.
     """
-    return _memoised("cycle", _ham_cycle, g, budget)
-
-
-def _ham_cycle(g: Graph, budget: SearchBudget) -> SearchResult:
     if g.n < 3:
         raise GraphError("hamiltonian cycle needs at least 3 vertices")
     if not is_connected(g):
         return SearchResult(Status.NO)
-    return _run(g, budget, lambda e: e.anchored([0], g.adj[0]), "cycle")
+    return _checked(g, ("cycle",),
+                    _run(g, budget, lambda e: e.anchored([0], g.adj[0])))
 
 
 def has_leg_cover(g: Graph, p: int, attached: bool = False,
@@ -554,9 +532,14 @@ def has_leg_cover(g: Graph, p: int, attached: bool = False,
     one.  The witness lists the legs in the order they were built."""
     if p < 1 or g.n == 0:
         raise GraphError("a leg cover needs a vertex and at least one leg")
-    kind = ("attached" if attached else "free", p)
-    return _memoised(kind, lambda h, b: _run(
-        h, b, lambda e: e.legs(p, attached), kind), g, budget)
+    return _checked(g, ("attached" if attached else "free", p),
+                    _legs(g, p, attached, budget))
+
+
+@lru_cache(maxsize=16)
+def _legs(g: Graph, p: int, attached: bool,
+          budget: SearchBudget) -> SearchResult:
+    return _run(g, budget, lambda e: e.legs(p, attached))
 
 
 # --- J-cells --------------------------------------------------------------

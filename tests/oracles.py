@@ -25,6 +25,8 @@ from cubicml.graph import (
     GraphError,
     bits,
     connected_components,
+    cut_vertices,
+    degree_profile,
     induced_subgraph,
     is_connected,
     mask_of,
@@ -35,7 +37,9 @@ from cubicml.hamsearch import (
     SearchBudget,
     SearchResult,
     Status,
+    _checked,
     _run,
+    has_ham_path,
     has_ham_path_from,
 )
 from cubicml.isomorphism import CanonicalData, _cells, _leaf_form, color_refine
@@ -61,7 +65,33 @@ def ham_path_without_orbits(g: Graph,
                 return w
         return None
 
-    return _run(g, budget, find)
+    return _checked(g, ("path",), _run(g, budget, find))
+
+
+def lemma_short_hypotheses_at_cut_vertices(
+        g: Graph, budget: SearchBudget = UNLIMITED,
+) -> tuple[bool | None, str | None]:
+    """``census.lemma_short_hypotheses`` with the component clause tested
+    only at the cut vertices one DFS finds."""
+    degs, _, deg2 = degree_profile(g)
+    if g.n == 0 or any(d not in (2, 3) for d in degs):
+        return False, "degrees not within {2,3}"
+    if not is_connected(g):
+        return False, "not connected"
+    if len(deg2) < 2:
+        return False, "fewer than two degree-2 vertices"
+    full = g.full_mask()
+    deg2_mask = mask_of(deg2)
+    for v in bits(cut_vertices(g.adj, full)):
+        for comp in connected_components(g, full & ~(1 << v)):
+            if comp & deg2_mask == 0:
+                return False, f"cut vertex {v}: a component has no degree-2 vertex"
+    r = has_ham_path(g, budget)
+    if r.status is Status.INDETERMINATE:
+        return None, "traceability indeterminate under budget"
+    if r.is_no:
+        return False, "not traceable"
+    return True, None
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:

@@ -1,5 +1,8 @@
 """Embedded fixtures, the degree-2-start lemma machinery, and the census."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from cubicml.graph import Graph, write_graph6
@@ -13,8 +16,9 @@ from cubicml.census import (
     nontraceable_census,
     verify_paper_artifacts,
 )
-from cubicml.generate import generate_cubic
+from cubicml.generate import generate_cubic, generate_degree23
 from conftest import prism
+from oracles import lemma_short_hypotheses_at_cut_vertices
 
 
 def k4() -> Graph:
@@ -73,6 +77,49 @@ def test_lemma_hypotheses_cut_vertex_clause():
     ok, clause = lemma_short_hypotheses(g)
     if not ok:
         assert "cut vertex" in clause or "degrees" in clause
+
+
+def _random_degree23(rng: random.Random, n: int) -> Graph:
+    """Random edges of max degree 3, stopping at random once every degree
+    is at least 2."""
+    deg = [0] * n
+    edges = []
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if deg[u] < 3 and deg[v] < 3:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+            if min(deg) >= 2 and rng.random() < 0.3:
+                break
+    return Graph.from_edges(n, edges)
+
+
+def _bridged(rng: random.Random, a: Graph, b: Graph) -> Graph:
+    """``a`` and ``b`` joined by an edge, at a degree-2 vertex of each
+    where there is one."""
+    u, v = (rng.choice([w for w in range(h.n) if h.degree(w) == 2] or [0])
+            for h in (a, b))
+    return Graph.from_edges(a.n + b.n, a.edges + [
+        (x + a.n, y + a.n) for x, y in b.edges] + [(u, v + a.n)])
+
+
+def test_lemma_hypotheses_match_the_cut_vertex_oracle():
+    graphs: list[Graph] = []
+    for n in range(3, 10):
+        generate_degree23(n, graphs.append)
+    rng = random.Random(19)
+    graphs += [_random_degree23(rng, rng.randint(4, 14)) for _ in range(300)]
+    graphs += [_bridged(rng, _random_degree23(rng, rng.randint(3, 8)),
+                        _random_degree23(rng, rng.randint(3, 8)))
+               for _ in range(300)]
+    cut_failures = 0
+    for g in graphs:
+        ok, clause = lemma_short_hypotheses(g)
+        assert (ok, clause) == lemma_short_hypotheses_at_cut_vertices(g)
+        cut_failures += clause is not None and clause.startswith("cut vertex")
+    assert cut_failures >= 40
 
 
 def test_lemma_scan_filters_and_finds():
@@ -157,3 +204,11 @@ def test_verify_paper_artifacts_budget_cut_is_indeterminate():
     cut = [c for c in checks if c.name in ("traceable", "ml")]
     assert len(cut) == 2 * 19
     assert all(c.actual is None for c in cut)
+
+
+def test_budget_cut_lemma_check_is_undecided():
+    # the four order-18 graphs land in scan.indeterminate, not in 0
+    # counterexamples
+    checks = verify_paper_artifacts(SearchBudget(max_nodes=5))
+    lemma = [c for c in checks if c.name == "all are counterexamples"]
+    assert [(c.expected, c.actual) for c in lemma] == [(4, None)]

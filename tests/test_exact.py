@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from cubicml import exact, hamsearch
+from cubicml import cover, exact, hamsearch
 from cubicml.census import load_fixtures
 from cubicml.graph import Graph, GraphError, is_connected, parse_graph6
 from cubicml.hamsearch import SearchBudget, Status, has_ham_path, has_leg_cover
@@ -332,6 +332,30 @@ def test_a_budget_cut_costs_one_budget(monkeypatch):
     assert a.traceable is None and counts == [1001]
     assert a.ml == exact.MlResult(Status.INDETERMINATE, lower_bound=2)
     assert a.mu == exact.MuResult(Status.INDETERMINATE, lower_bound=1)
+
+
+def _cache_traffic() -> tuple[tuple[int, int], tuple[int, int]]:
+    """(hits, misses) of the hamiltonian path cache, then the leg cover's."""
+    return tuple((i.hits, i.misses) for i in (
+        hamsearch._ham_path.cache_info(), hamsearch._legs.cache_info()))
+
+
+def test_cache_traffic_pinned():
+    # asked one by one, as ``analyze --ml --mu`` asked before ``analyze``
+    # passed its answers down, traceability is served twice from the cache;
+    # ``analyze`` asks each question once
+    g = load_fixtures("nontraceable_28_conn3")[0].graph
+    budget = SearchBudget(200_000)
+    assert has_ham_path(g, budget).is_no
+    assert min_leaf_number(g, budget).value == 3
+    mu = path_cover_number(g, budget).value
+    cover.run_cover_procedure(g, exact_mu=mu, budget=budget)
+    assert _cache_traffic() == ((2, 1), (0, 2))
+    hamsearch._ham_path.cache_clear()
+    hamsearch._legs.cache_clear()
+    a = analyze(g, budget, ml=True, mu=True)
+    assert (a.ml.value, a.mu.value) == (3, 2)
+    assert _cache_traffic() == ((0, 1), (0, 2))
 
 
 def test_ml_ladder_starts_above_mu(monkeypatch):

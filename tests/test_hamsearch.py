@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -309,7 +310,7 @@ def test_search_tree_pinned_on_refutation():
              if f.id == "nontraceable_30_c3_01")
     r = has_ham_path(g)
     assert r.status is Status.NO and r.nodes == 16_508
-    # served from the memo from here on, where a fresh search would agree
+    # the same answer again, kept in the cache or searched afresh
     assert has_ham_path(g) == r
     assert has_ham_path(g, SearchBudget(16_508)) == r
     cut = has_ham_path(g, SearchBudget(16_507))
@@ -398,18 +399,15 @@ def test_long_prism_needs_no_recursion():
     assert check_path_witness(g, r.witness)
 
 
-# --- the memo under has_ham_path and has_ham_cycle ------------------------
+# --- the caches under has_ham_path and has_leg_cover ----------------------
 
 
 def _fresh(query, g, budget):
-    """``query(g, budget)`` searched afresh, the memo left as it was."""
-    kept = dict(hamsearch._memo)
-    hamsearch._memo.clear()
-    try:
+    """``query(g, budget)`` searched afresh, past the caches."""
+    with mock.patch.object(hamsearch, "_ham_path",
+                           hamsearch._ham_path.__wrapped__), \
+            mock.patch.object(hamsearch, "_legs", hamsearch._legs.__wrapped__):
         return query(g, budget)
-    finally:
-        hamsearch._memo.clear()
-        hamsearch._memo.update(kept)
 
 
 @settings(max_examples=150, deadline=None)
@@ -417,8 +415,7 @@ def _fresh(query, g, budget):
        budgets=st.lists(st.one_of(st.none(), st.integers(0, 80)),
                         min_size=1, max_size=6))
 def test_memo_serves_what_a_fresh_search_returns(g, budgets):
-    # an unlimited search first, so that every later budget, small ones
-    # included, meets a kept answer
+    # an unlimited search first, then each budget, small ones included
     for query in (has_ham_path, has_ham_cycle, _QUERIES["free legs"],
                   _QUERIES["attached legs"]):
         for max_nodes in [None, *budgets]:
@@ -427,7 +424,6 @@ def test_memo_serves_what_a_fresh_search_returns(g, budgets):
 
 
 def test_memo_hit_checks_the_witness(monkeypatch):
-    monkeypatch.setattr(hamsearch, "_memo", {})
     g = prism(5)
     real = hamsearch.check_path_witness
     for query in (has_ham_path, has_ham_cycle):
@@ -444,14 +440,27 @@ def test_memo_hit_checks_the_witness(monkeypatch):
         assert len(calls) == 2
 
 
-def test_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(hamsearch, "_memo", {})
+def test_memo_is_bounded():
     for n in range(3, 103):
         assert has_ham_path(cycle(n)).is_yes
-        assert has_ham_cycle(cycle(n)).is_yes
-    assert len(hamsearch._memo) == hamsearch._MEMO_CAP == 32
-    assert ("cycle", cycle(102).adj) in hamsearch._memo
-    assert ("path", cycle(3).adj) not in hamsearch._memo
+        assert has_ham_path(cycle(n), SearchBudget()).is_yes  # one key
+    info = hamsearch._ham_path.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (
+        100, 100, 16, 16)
+    has_ham_path(cycle(3))  # dropped long ago
+    assert hamsearch._ham_path.cache_info().misses == 101
+
+
+def test_fixed_end_witness_is_checked(monkeypatch):
+    # a hamiltonian path of P4, but from the wrong end
+    monkeypatch.setattr(hamsearch._Engine, "search",
+                        lambda self, path, end_mask: (3, 2, 1, 0))
+    g = path_graph(4)
+    assert check_path_witness(g, (3, 2, 1, 0))
+    with pytest.raises(WitnessError):
+        has_ham_path_from(g, 0)
+    with pytest.raises(WitnessError):
+        has_ham_path_between(g, 0, 3)
 
 
 # --- starts skipped by automorphism orbits ---------------------------------
@@ -477,8 +486,7 @@ def _agrees_without_orbits(g: Graph, budgets=(0, 1, 2, 10, 100)) -> None:
             assert (cut.status, cut.witness) == (ref.status, ref.witness)
 
 
-def test_orbit_skip_agrees_on_random_graphs(monkeypatch):
-    monkeypatch.setattr(hamsearch, "_memo", {})
+def test_orbit_skip_agrees_on_random_graphs():
     rng = random.Random(14)
     for _ in range(300):
         n = rng.randint(1, 10)
@@ -486,14 +494,12 @@ def test_orbit_skip_agrees_on_random_graphs(monkeypatch):
             random_connected_graph(rng, n, rng.choice((0.25, 0.4, 0.6))))
 
 
-def test_orbit_skip_agrees_on_fixtures(monkeypatch):
-    monkeypatch.setattr(hamsearch, "_memo", {})
+def test_orbit_skip_agrees_on_fixtures():
     for f in load_fixtures():
         _agrees_without_orbits(f.graph, budgets=(0, 10, 1000))
 
 
-def test_orbit_skip_agrees_on_symmetric_graphs(monkeypatch):
-    monkeypatch.setattr(hamsearch, "_memo", {})
+def test_orbit_skip_agrees_on_symmetric_graphs():
     rng = random.Random(15)
     for g in [prism(k) for k in range(3, 9)] + [
             petersen(), cycle_of_edge_deleted_petersen(3)]:
@@ -518,7 +524,6 @@ def _count_labeling(monkeypatch) -> list[int]:
             yield unit
 
     monkeypatch.setattr(hamsearch, "canonical_steps", counted)
-    monkeypatch.setattr(hamsearch, "_memo", {})
     return units
 
 
