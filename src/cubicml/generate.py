@@ -11,25 +11,46 @@ attachment orbit — no global seen-set is needed.
 The canonical choice is: among the vertices whose removal keeps the graph
 connected, minimise first the pair seed (``pair_seeds``: degree, then the
 counts of common-neighbour and adjacency codes against every other
-vertex), then the colour refined from the seeds, then the position in a
-canonical labeling.  Each child meets the exact tests in order of cost,
-and the first that decides it ends the work on it:
+vertex, packed into one int), then the colour refined from the seeds,
+then the position in a canonical labeling.  Each child meets the exact
+tests in order of cost, and the first that decides it ends the work on it:
 
 1. degree sum: decided once per attachment size for a cubic target;
 2. degree: k, the new vertex, and the parent's non-cut vertices stay
    deletable, so one of them of lower degree rejects k;
 3. seeds: the child's follow from the parent's in O(n) (``_child_seeds``);
    one of those vertices of lower seed rejects;
-4. cut mask: ``_deletable``, then a deletable vertex of lower seed rejects;
-5. colours: ``seeded_colors``, only when the least seed is tied;
-6. labeling: ``canonical_data``, only when the least colour is tied.
+4. lookahead, for a cubic target and a child on n - 1 vertices: the child
+   has exactly three vertices of degree 2, so its only child joins vertex
+   n - 1 to them.  That grandchild's seeds follow from the child's, and
+   one of k and the parent's non-cut vertices (all non-cut in the child)
+   of lower seed than n - 1 drops the child: the child's own growth would
+   run this test first and emit nothing;
+5. cut mask: ``_deletable``, then a deletable vertex of lower seed rejects;
+6. colours: ``seeded_colors``, only when the least seed is tied;
+7. labeling: ``canonical_data``, only when the least colour is tied.
 
 An accepted child keeps what its test computed, and its own children are
 tried from that: the cut mask (a child's cut vertices are its parent's that
 still cut, plus the neighbour of a pendant new vertex, so no DFS runs), the
-seeds, the colours and the canonical data when they were computed.  The
-colours and the automorphism generators of a state are computed only when
-the seeds, and then the colours, leave two attachment candidates tied.
+seeds, the colours and the canonical data when they were computed.
+
+Attachment sets are deduplicated up to Aut(g) lazily.  They are tried in
+``combinations`` order, and an automorphism of g, extended to fix k, maps
+the child of a set onto the child of its image, so a set and its images
+get the same decision.  Only an accepted set can therefore be a duplicate
+(McKay, *Isomorph-free exhaustive generation*, J. Algorithms 26, 1998):
+an accepted set is compared with the sets accepted before it, first by
+the sorted seeds of its members, then by their colours.  Both are
+invariant under Aut(g), so a set that differs on either from every
+earlier accepted set lies in none of their orbits, and only a tie on
+both computes g's labeling (once).  From then on every set tried so
+far and every later one has its orbit closed under the generators, and a
+set already in a closed orbit is skipped.  The first set of each accepted
+orbit is thus the one that grows, in the same order as when the orbits
+were closed up front; a rejected set's images are merely tested again.
+When the parent's test already labeled g, the orbits are closed from the
+start.
 
 Intended scale: cubic up to n = 20, degree-{2,3} up to n = 13.
 """
@@ -41,7 +62,7 @@ from typing import Callable
 
 from .graph import Graph, GraphError, bits, spread, vertex_connectivity_capped
 from .isomorphism import CanonicalData, canonical_data, \
-    pair_seeds as _pair_seeds, seeded_colors as _seeded_colors
+    pair_seeds as _pair_seeds, seed_places, seeded_colors as _seeded_colors
 
 Sink = Callable[[Graph], None]
 
@@ -97,42 +118,60 @@ def _feasible(need: int, slots: int, min_final_deg: int) -> bool:
             and (need > 0 or slots == 0))
 
 
-def _child_seeds(g: Graph, seeds: list[tuple[int, ...]],
-                 combo: tuple[int, ...]) -> list[tuple[int, ...]]:
+# every state has fewer than 32 vertices and maximum degree at most 3, so
+# its seeds share one set of place values
+_DEGREE_PLACE, *_CODE_PLACES = seed_places(GENERATOR_MAX_CUBIC, 3)
+# a seed's change when a pair of code c gains a common neighbour
+_MORE_COMMON = [_CODE_PLACES[c] - _CODE_PLACES[c + 2] for c in range(6)]
+
+
+def _child_seeds(g: Graph, seeds: list[int],
+                 combo: tuple[int, ...]) -> list[int]:
     """``pair_seeds`` of ``g`` plus a vertex k joined to ``combo``, from
     ``seeds`` = ``pair_seeds(g)`` in O(n).
 
     The only pair codes that change are each old vertex's new code with k,
     the codes inside ``combo`` (one more common neighbour: + 2), and the
-    degrees of ``combo``.
+    degrees of ``combo``; each change adds or removes one place value.
     """
     adj = g.adj
+    places = _CODE_PLACES
     mask = sum(1 << v for v in combo)
     out = []
-    new = [0] * (len(seeds[0]) - 1)
+    new = (len(combo) + 1) * _DEGREE_PLACE - 1
     for u, s in enumerate(seeds):
         au = adj[u]
         code = (au & mask).bit_count() << 1 | (mask >> u & 1)
-        new[code] -= 1
-        if not code:
-            out.append((s[0], s[1] - 1, *s[2:]))
-            continue
-        t = list(s)
-        t[1 + code] -= 1
+        p = places[code]
+        new -= p
+        s -= p
         if code & 1:
-            t[0] += 1
+            s += _DEGREE_PLACE
             for v in combo:
                 if v != u:
-                    c = (au & adj[v]).bit_count() << 1 | (au >> v & 1)
-                    t[1 + c] += 1
-                    t[3 + c] -= 1
-        out.append(tuple(t))
-    out.append((len(combo), *new))
+                    s += _MORE_COMMON[
+                        (au & adj[v]).bit_count() << 1 | (au >> v & 1)]
+        out.append(s)
+    out.append(new)
     return out
 
 
+def _close_orbit(key: frozenset[int], autos: tuple[tuple[int, ...], ...],
+                 seen: set[frozenset[int]]) -> None:
+    """Add ``key`` and its images under the group ``autos`` generates."""
+    seen.add(key)
+    todo = [key]
+    while todo:
+        part = todo.pop()
+        for perm in autos:
+            img = frozenset([perm[v] for v in part])
+            if img not in seen:
+                seen.add(img)
+                todo.append(img)
+
+
 def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
-          seeds: list[tuple[int, ...]], colors: tuple[int, ...] | None,
+          seeds: list[int], colors: tuple[int, ...] | None,
           data: CanonicalData | None, n: int, min_final_deg: int,
           emit: Sink) -> None:
     """Extend the accepted state ``g`` by every canonical child.
@@ -149,27 +188,23 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
         return
     degs = [len(nb) for nb in nbrs]
     deficient = [v for v in range(k) if degs[v] < 3]
-    # attachment sets are deduplicated up to Aut(g), each set's orbit
-    # closed under the generators; Aut(g) maps deficient vertices to
-    # deficient vertices of equal invariants, so pairwise-distinct
-    # invariants on them certify that Aut(g) fixes every attachment set,
-    # skipping the canonical labeling
-    autos: tuple[tuple[int, ...], ...] = ()
     nd = len(deficient)
-    if len({seeds[v] for v in deficient}) < nd:
-        if colors is None:
-            colors = _seeded_colors(g, seeds, nbrs)
-        if len({colors[v] for v in deficient}) < nd:
-            if data is None:
-                data = canonical_data(g, colors)
-            autos = data.automorphisms
-    seen: set[frozenset[int]] = set()
     slots_left = n - k - 1
     cubic = min_final_deg == 3
+    # a cubic child on n - 1 vertices has exactly three vertices of degree
+    # 2, and its one child joins vertex n - 1 to them
+    forced = cubic and slots_left == 1
     need = 3 * k - sum(degs)
     # the parent's non-cut vertices stay deletable in every child, but for
     # the neighbour of a pendant k, which never has a lower degree than k
     free = [v for v in range(k) if not cuts >> v & 1]
+    # attachment sets are deduplicated up to Aut(g) lazily (see the module
+    # docstring): until the generators are known, ``tried`` keeps every
+    # set tried and ``accepted`` each accepted set with its sorted seeds
+    autos = data.automorphisms if data is not None else None
+    seen: set[frozenset[int]] = set()
+    tried: list[tuple[int, ...]] = []
+    accepted: list[tuple[list[int], tuple[int, ...]]] = []
     for d in (1, 2, 3):
         if d > nd:
             break
@@ -177,19 +212,13 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
         if cubic and not _feasible(need + 3 - 2 * d, slots_left, 3):
             continue
         for combo in combinations(deficient, d):
-            key = frozenset(combo)
-            if key in seen:
-                continue
-            if autos:
-                seen.add(key)
-                todo = [key]
-                while todo:
-                    part = todo.pop()
-                    for perm in autos:
-                        img = frozenset([perm[v] for v in part])
-                        if img not in seen:
-                            seen.add(img)
-                            todo.append(img)
+            if autos is None:
+                tried.append(combo)
+            else:
+                key = frozenset(combo)
+                if key in seen:
+                    continue
+                _close_orbit(key, autos, seen)
             cdegs = degs + [d]
             for v in combo:
                 cdegs[v] += 1
@@ -216,30 +245,59 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
                 cadj[v] |= 1 << k
                 cadj[k] |= 1 << v
             child = Graph(k + 1, tuple(cadj))
+            if forced:
+                # the child's _grow first tests its one child's seed
+                # against the child's non-cut vertices, which include k and
+                # the free vertices (a pendant k cannot reach degree 3):
+                # failing here, the child would emit nothing
+                last = tuple(v for v, x in enumerate(cdegs) if x < 3)
+                fseeds = _child_seeds(child, cseeds, last)
+                fseed = fseeds[k + 1]
+                if fseeds[k] < fseed or any(fseeds[v] < fseed for v in free):
+                    continue
             ccuts, dels = _deletable(child, cuts, combo)
             if any(cseeds[v] < seed for v in dels):
                 continue
             cnbrs = _child_nbrs(nbrs, combo, k)
             mins0 = [v for v in dels if cseeds[v] == seed]
-            if len(mins0) == 1:
-                _grow(child, cnbrs, ccuts, cseeds, None, None, n,
-                      min_final_deg, emit)
-                continue
-            ccolors = _seeded_colors(child, cseeds, cnbrs)
-            minc = min(ccolors[v] for v in mins0)
-            if ccolors[k] != minc:
-                continue
-            mins = [v for v in mins0 if ccolors[v] == minc]
-            if len(mins) == 1:
-                _grow(child, cnbrs, ccuts, cseeds, ccolors, None, n,
-                      min_final_deg, emit)
-                continue
-            cdata = canonical_data(child, ccolors)
-            position = {v: i for i, v in enumerate(cdata.labeling)}
-            pick = min(mins, key=lambda v: position[v])
-            if cdata.orbit[pick] == cdata.orbit[k]:
-                _grow(child, cnbrs, ccuts, cseeds, ccolors, cdata, n,
-                      min_final_deg, emit)
+            ccolors = cdata = None
+            if len(mins0) > 1:
+                ccolors = _seeded_colors(child, cseeds, cnbrs)
+                minc = min(ccolors[v] for v in mins0)
+                if ccolors[k] != minc:
+                    continue
+                mins = [v for v in mins0 if ccolors[v] == minc]
+                if len(mins) > 1:
+                    cdata = canonical_data(child, ccolors)
+                    position = {v: i for i, v in enumerate(cdata.labeling)}
+                    pick = min(mins, key=position.__getitem__)
+                    if cdata.orbit[pick] != cdata.orbit[k]:
+                        continue
+            if autos is None:
+                # an image of an accepted set has its seeds, then its
+                # colours; only a tie on both needs the generators
+                skey = sorted([seeds[v] for v in combo])
+                twins = [c for s, c in accepted if s == skey]
+                if twins:
+                    if colors is None:
+                        colors = _seeded_colors(g, seeds, nbrs)
+                    ckey = sorted([colors[v] for v in combo])
+                    if any(sorted([colors[v] for v in c]) == ckey
+                           for c in twins):
+                        if data is None:
+                            data = canonical_data(g, colors)
+                        autos = data.automorphisms
+                        for done in tried[:-1]:
+                            key = frozenset(done)
+                            if key not in seen:
+                                _close_orbit(key, autos, seen)
+                        key = frozenset(combo)
+                        if key in seen:
+                            continue
+                        _close_orbit(key, autos, seen)
+                accepted.append((skey, combo))
+            _grow(child, cnbrs, ccuts, cseeds, ccolors, cdata, n,
+                  min_final_deg, emit)
 
 
 def _child_nbrs(nbrs: list[tuple[int, ...]], combo: tuple[int, ...],

@@ -56,32 +56,52 @@ def _cells(colors: tuple[int, ...]) -> dict[int, list[int]]:
     return cells
 
 
-def pair_seeds(g: Graph) -> list[tuple[int, ...]]:
-    """Per-vertex invariant: degree, then minus the number of other
-    vertices with each pair code 2 * (common neighbours) + (adjacent).
+def seed_places(n: int, max_degree: int) -> list[int]:
+    """Place values in ``pair_seeds`` of a graph on ``n`` vertices with
+    that maximum degree: the degree's, then each pair code's digit.
 
-    Codes run to 2 * max(3, maximum degree) + 1, so every seed of a graph
-    has the same length.  Seeds compare as the degree followed by the
-    sorted multiset of codes would: of two equal-size sorted lists, the one
-    holding more of the first code where the counts differ is smaller.
+    The base is 2 ** max(5, n.bit_length()), so every graph below 32
+    vertices shares one base, and the codes run to
+    2 * max(3, max_degree) + 1, so every seed of a graph has one width.
+    """
+    base = 1 << max(5, n.bit_length())
+    width = 2 * max(3, max_degree) + 2
+    return [base ** (width - i) for i in range(width + 1)]
+
+
+def pair_seeds(g: Graph) -> list[int]:
+    """Per-vertex invariant: the degree, then the number of other vertices
+    with each pair code 2 * (common neighbours) + (adjacent), as one int.
+
+    Read in base B (``seed_places``), a seed's digits are the degree,
+    then B - 1 - count for each code in order.  A count is at most
+    n - 1 < B, so each digit lies in [0, B) and integer order is the
+    lexicographic order of the digits: by degree, then, at the first code
+    whose counts differ, the vertex with more of that code is smaller.
+    That is the order of the degree followed by the sorted codes against
+    every other vertex: of two sorted lists of one length, the one holding
+    more of the first code where they differ is smaller.  With every count
+    0 the code digits sum to B ** width - 1, so a seed is
+    (degree + 1) * B ** width - 1, less each count times its code's place.
     Subsumes triangle and 4-cycle statistics, so it separates vertices of
     regular graphs that plain degree refinement leaves untouched."""
     adj = g.adj
     n = g.n
+    if not n:
+        return []
     degs = [a.bit_count() for a in adj]
-    width = 2 * max(3, *degs) + 2 if n else 0
-    counts = [[0] * width for _ in range(n)]
+    top, *places = seed_places(n, max(degs))
+    seeds = [(d + 1) * top - 1 for d in degs]
     for u in range(n):
         au = adj[u]
-        cu = counts[u]
         for v in range(u + 1, n):
-            code = (au & adj[v]).bit_count() << 1 | (au >> v & 1)
-            cu[code] -= 1
-            counts[v][code] -= 1
-    return [(degs[v], *counts[v]) for v in range(n)]
+            p = places[(au & adj[v]).bit_count() << 1 | (au >> v & 1)]
+            seeds[u] -= p
+            seeds[v] -= p
+    return seeds
 
 
-def seeded_colors(g: Graph, seeds: list[tuple[int, ...]],
+def seeded_colors(g: Graph, seeds: list[int],
                   nbrs: list[tuple[int, ...]] | None = None) -> tuple[int, ...]:
     """Refined colouring with an invariant seed partition."""
     order = {s: i for i, s in enumerate(sorted(set(seeds)))}

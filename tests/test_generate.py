@@ -186,6 +186,47 @@ def test_child_seeds_match_pair_seeds(monkeypatch):
     assert tried > 0
 
 
+def test_states_pairwise_non_isomorphic(monkeypatch):
+    """Each run passes ``_grow`` one state per isomorphism class it keeps:
+    a dedup of attachment sets that let an image of an accepted set
+    through would pass two isomorphic states, even where the emitted
+    graphs happened to stay distinct."""
+    grow = generate._grow
+    states: list[Graph] = []
+
+    def recorded(g, *args):
+        states.append(g)
+        return grow(g, *args)
+
+    monkeypatch.setattr(generate, "_grow", recorded)
+    runs = [(generate_cubic, n) for n in range(4, 13, 2)]
+    runs += [(generate_degree23, n) for n in range(3, 10)]
+    total = 0
+    for run, n in runs:
+        states.clear()
+        run(n)
+        forms = {(g.n, canonical_form(g)) for g in states}
+        assert len(forms) == len(states), (run.__name__, n)
+        total += len(states)
+    # 3,415 before the forced last vertex was tested ahead
+    assert total == 3_015
+
+
+def test_generator_work_pinned(monkeypatch):
+    # the labelings and refinements generate_cubic(12) asks for, and the
+    # states it grows; before the lookahead and the lazy attachment orbits
+    # they were 1,318 / 2,540 / 2,301
+    calls = dict.fromkeys(("canonical_data", "_seeded_colors", "_grow"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(generate, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(generate, name, counted)
+    assert generate_cubic(12) == 85
+    assert calls == {"canonical_data": 734, "_seeded_colors": 1_578,
+                     "_grow": 1_946}
+
+
 def test_inherited_cut_mask_matches_dfs(monkeypatch):
     """Every child that reaches the cut test gets the mask a fresh DFS
     computes, whether it was inherited from the parent or not."""

@@ -66,12 +66,14 @@ def test_pair_seeds_separate_nonsimilar_vertices():
 
 
 def test_pair_seeds_order_vertices_as_sorted_profiles():
-    """The count form orders and ties vertices exactly as the sorted
-    profiles do, on sparse graphs and on dense ones of degree above 3."""
+    """The integer form orders and ties vertices exactly as the sorted
+    profiles do, on sparse graphs and on dense ones of degree above 3, and
+    on both sides of the base change at 32 vertices."""
     rng = random.Random(17)
     top = 0
+    orders = set()
     for _ in range(300):
-        g = random_graph(rng, rng.randint(1, 14),
+        g = random_graph(rng, rng.randint(1, 40),
                          rng.choice((0.15, 0.3, 0.6, 0.9)))
         new, old = pair_seeds(g), sorted_profile_seeds(g)
         for u in range(g.n):
@@ -79,7 +81,8 @@ def test_pair_seeds_order_vertices_as_sorted_profiles():
                 assert (new[u] < new[v]) == (old[u] < old[v])
                 assert (new[u] == new[v]) == (old[u] == old[v])
         top = max(top, *g.degrees())
-    assert top > 3
+        orders.add(g.n >= 32)
+    assert top > 3 and orders == {False, True}
 
 
 def test_isomorphic_to_relabeling():
