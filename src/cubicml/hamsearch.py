@@ -2,12 +2,10 @@
 pruning.
 
 One backtracking engine serves every query flavour: free endpoints, fixed
-start, fixed endpoint pair, cycle closure, and path covers.  A path ends in
-an end mask: every vertex after a fixed start, and b alone for a fixed pair
-(a, b).  The J-cell recognizer asks only fixed-pair queries, on H, on H
-minus a vertex, and on either plus one connector vertex.  Verdicts are
-exact; a node budget can cut a search short, in which case the result is
-indeterminate rather than wrong.
+start, cycle closure, and path covers.  A path ends in an end mask: any
+vertex after a fixed start, and a choice outside ``done`` in the anchored
+driver below.  Verdicts are exact; a node budget can cut a search short, in
+which case the result is indeterminate rather than wrong.
 
 Free-endpoint paths and cycles share one anchored driver.  It searches
 ``prefix + [s, ..., t]`` for each choice s in ascending order and accepts
@@ -91,7 +89,6 @@ from .graph import (
     Graph,
     GraphError,
     bits,
-    induced_subgraph,
     is_connected,
     mask_of,
     require_witness,
@@ -433,8 +430,7 @@ def check_legs_witness(g: Graph, legs: tuple[tuple[int, ...], ...], p: int,
 
 def _checked(g: Graph, kind: tuple, r: SearchResult) -> SearchResult:
     """``r``, once its witness is checked to answer ``kind``: ("path",),
-    ("cycle",), ("from", s), ("between", a, b), or a leg cover
-    ("free" or "attached", p)."""
+    ("cycle",), ("from", s), or a leg cover ("free" or "attached", p)."""
     if not r.is_yes:
         return r
     w, rule = r.witness, kind[0]
@@ -444,8 +440,7 @@ def _checked(g: Graph, kind: tuple, r: SearchResult) -> SearchResult:
         ok = check_path_witness(g, w) and (
             rule == "path"
             or rule == "cycle" and g.has_edge(w[-1], w[0])
-            or rule == "from" and w[0] == kind[1]
-            or rule == "between" and (w[0], w[-1]) == kind[1:])
+            or rule == "from" and w[0] == kind[1])
     require_witness(ok, f"answer to {kind}")
     return r
 
@@ -472,19 +467,6 @@ def has_ham_path_from(g: Graph, start: int,
         return SearchResult(Status.NO)
     return _checked(g, ("from", start),
                     _run(g, budget, lambda e: e.search([start], -1)))
-
-
-def has_ham_path_between(g: Graph, a: int, b: int,
-                         budget: SearchBudget = UNLIMITED) -> SearchResult:
-    """Hamiltonian path from ``a`` to ``b``."""
-    if a == b:
-        raise GraphError("endpoints must be distinct")
-    if not (0 <= a < g.n and 0 <= b < g.n):
-        raise GraphError("endpoint out of range")
-    if not is_connected(g):
-        return SearchResult(Status.NO)
-    return _checked(g, ("between", a, b),
-                    _run(g, budget, lambda e: e.search([a], 1 << b)))
 
 
 def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
@@ -541,92 +523,3 @@ def _legs(g: Graph, p: int, attached: bool,
           budget: SearchBudget) -> SearchResult:
     return _run(g, budget, lambda e: e.legs(p, attached))
 
-
-# --- J-cells --------------------------------------------------------------
-
-_JCELL_SINGLE = (("a", "b"), ("c", "d"), ("a", "c"), ("b", "d"))
-
-
-@dataclass(frozen=True)
-class JcellReport:
-    is_jcell: bool
-    failing_condition: str | None = None
-
-
-def _with_connector(g: Graph, b: int, c: int) -> Graph:
-    """``g`` plus a new vertex ``g.n`` adjacent to exactly ``b`` and ``c``."""
-    x = 1 << g.n
-    adj = list(g.adj)
-    adj[b] |= x
-    adj[c] |= x
-    adj.append(1 << b | 1 << c)
-    return Graph(g.n + 1, tuple(adj))
-
-
-def is_jcell(h: Graph, a: int, b: int, c: int, d: int,
-             budget: SearchBudget = UNLIMITED) -> JcellReport:
-    """Hsu-Lin terminal-quadruple recognition.
-
-    Condition 1: (a,d) and (b,c) joined by hamiltonian paths.
-    Condition 2: none of (a,b),(c,d),(a,c),(b,d) is joined by a
-    hamiltonian path, and V(H) is not covered by two disjoint paths with
-    end pairs ((a,b),(c,d)) or ((a,c),(b,d)).
-    Condition 3: after deleting any single vertex, one of the condition-2
-    pairs becomes good; pairs that lost an endpoint to the deletion are
-    skipped.
-
-    The two path pairs are decided together, as one hamiltonian a-d path
-    in H plus a connector vertex x adjacent to exactly b and c.  Such a
-    path passes through x, which has degree 2, as b-x-c or c-x-b; cutting
-    it at x leaves a-..-b and c-..-d, or a-..-c and b-..-d.  Conversely
-    either pair of paths joins up through x.  The vertex next to x on the
-    way from a names the pair found.
-    """
-    if len({a, b, c, d}) != 4:
-        raise GraphError("J-cell terminals must be distinct")
-    names = {"a": a, "b": b, "c": c, "d": d}
-
-    for u, v in ((a, d), (b, c)):
-        r = has_ham_path_between(h, u, v, budget)
-        if r.status is Status.INDETERMINATE:
-            return JcellReport(False, "indeterminate")
-        if not r.is_yes:
-            return JcellReport(False, f"condition 1: pair ({u},{v}) not good")
-    for x, y in _JCELL_SINGLE:
-        r = has_ham_path_between(h, names[x], names[y], budget)
-        if r.status is Status.INDETERMINATE:
-            return JcellReport(False, "indeterminate")
-        if r.is_yes:
-            return JcellReport(False, f"condition 2: pair ({x},{y}) is good")
-    r = has_ham_path_between(_with_connector(h, b, c), a, d, budget)
-    if r.status is Status.INDETERMINATE:
-        return JcellReport(False, "indeterminate")
-    if r.is_yes:
-        w = r.witness
-        pair = "((a,b),(c,d))" if w[w.index(h.n) - 1] == b else "((a,c),(b,d))"
-        return JcellReport(False, f"condition 2: pair {pair} is good")
-
-    for v in range(h.n):
-        keep = [u for u in range(h.n) if u != v]
-        sub, mapping = induced_subgraph(h, keep)
-        back = {orig: i for i, orig in enumerate(mapping)}
-        found = False
-        for x, y in _JCELL_SINGLE:
-            u1, u2 = names[x], names[y]
-            if u1 == v or u2 == v:
-                continue
-            r = has_ham_path_between(sub, back[u1], back[u2], budget)
-            if r.status is Status.INDETERMINATE:
-                return JcellReport(False, "indeterminate")
-            if r.is_yes:
-                found = True
-                break
-        if not found and v not in names.values():
-            r = has_ham_path_between(_with_connector(sub, back[b], back[c]),
-                                     back[a], back[d], budget)
-            if r.status is Status.INDETERMINATE:
-                return JcellReport(False, "indeterminate")
-            found = r.is_yes
-        if not found:
-            return JcellReport(False, f"condition 3: no good pair in H-{v}")
-    return JcellReport(True, None)

@@ -1,4 +1,7 @@
-"""Hamiltonian path/cycle search and terminal-quadruple (J-cell) recognition."""
+"""Hamiltonian path/cycle and leg cover search, and the J-cell recognizer
+of ``tests/jcell.py`` that is built on it.  Fixed-pair queries go through
+``jcell.ham_path_between`` and are checked against the permutation
+oracle."""
 
 import os
 import random
@@ -23,16 +26,14 @@ from cubicml.hamsearch import (
     check_path_witness,
     has_ham_cycle,
     has_ham_path,
-    has_ham_path_between,
     has_ham_path_from,
     has_leg_cover,
-    is_jcell,
-    _with_connector,
 )
 from cubicml.constructions import named_graph
 from cubicml.constructions import cycle_of_edge_deleted_petersen
 from conftest import (
     bridged_prisms, prism, random_connected_graph, relabel, shuffled_copy)
+from jcell import ham_path_between, is_jcell, two_path_pairing
 from oracles import ham_path_without_orbits
 
 
@@ -98,10 +99,8 @@ def test_fixed_endpoint_queries():
     g = path_graph(5)
     assert has_ham_path_from(g, 0).is_yes
     assert has_ham_path_from(g, 2).is_no
-    assert has_ham_path_between(g, 0, 4).is_yes
-    assert has_ham_path_between(g, 0, 2).is_no
-    with pytest.raises(GraphError):
-        has_ham_path_between(g, 1, 1)
+    assert ham_path_between(g, 0, 4) == (0, 1, 2, 3, 4)
+    assert ham_path_between(g, 0, 2) is None
     with pytest.raises(GraphError):
         has_ham_path_from(g, 9)
 
@@ -111,9 +110,9 @@ def test_witnesses_respect_constraints():
     r = has_ham_path_from(g, 3)
     assert r.witness[0] == 3 and check_path_witness(g, r.witness)
     # in a cycle, hamiltonian-path endpoints must be adjacent
-    r = has_ham_path_between(g, 2, 3)
-    assert {r.witness[0], r.witness[-1]} == {2, 3}
-    assert has_ham_path_between(g, 2, 5).is_no
+    w = ham_path_between(g, 2, 3)
+    assert (w[0], w[-1]) == (2, 3) and check_path_witness(g, w)
+    assert ham_path_between(g, 2, 5) is None
 
 
 def test_matches_permutation_oracle_on_random_graphs():
@@ -126,8 +125,10 @@ def test_matches_permutation_oracle_on_random_graphs():
         v = rng.randrange(n)
         assert has_ham_path_from(g, v).is_yes == oracle_ham_path(g, start=v)
         w = (v + 1) % n
-        assert has_ham_path_between(g, v, w).is_yes == \
-            oracle_ham_path(g, start=v, end=w)
+        path = ham_path_between(g, v, w)
+        assert (path is not None) == oracle_ham_path(g, start=v, end=w)
+        assert path is None or check_path_witness(g, path) and (
+            path[0], path[-1]) == (v, w)
 
 
 def test_budget_truncation_is_reported():
@@ -166,24 +167,13 @@ def _path_through(g: Graph, vertices, s, t) -> bool:
     return False
 
 
-def _two_path_pairing(g: Graph, a: int, b: int, c: int, d: int) -> str | None:
-    """The spanning path pair that the connector query of ``is_jcell``
-    finds in ``g``: "ab|cd", "ac|bd", or None when it answers NO."""
-    r = has_ham_path_between(_with_connector(g, b, c), a, d)
-    if not r.is_yes:
-        return None
-    w = r.witness
-    assert check_path_witness(_with_connector(g, b, c), w)
-    return "ab|cd" if w[w.index(g.n) - 1] == b else "ac|bd"
-
-
 def test_spanning_two_paths_square():
     # C4 is covered by the paths 0-1 and 2-3, never by 0..2 and 1..3, so
     # the pairing read off the witness must be the one that exists.
-    assert _two_path_pairing(cycle(4), 0, 1, 2, 3) == "ab|cd"
-    assert _two_path_pairing(cycle(4), 0, 2, 1, 3) == "ac|bd"
+    assert two_path_pairing(cycle(4), 0, 1, 2, 3) == "ab|cd"
+    assert two_path_pairing(cycle(4), 0, 2, 1, 3) == "ac|bd"
     # P4 0-1-2-3: only 0-1 with 2-3, which neither pairing of (0,2,3,1) is.
-    assert _two_path_pairing(path_graph(4), 0, 2, 3, 1) is None
+    assert two_path_pairing(path_graph(4), 0, 2, 3, 1) is None
 
 
 def test_spanning_two_paths_matches_oracle():
@@ -192,7 +182,7 @@ def test_spanning_two_paths_matches_oracle():
         n = rng.randint(4, 7)
         g = random_connected_graph(rng, n, 0.5)
         a, b, c, d = rng.sample(range(n), 4)
-        found = _two_path_pairing(g, a, b, c, d)
+        found = two_path_pairing(g, a, b, c, d)
         ab_cd = oracle_two_paths(g, (a, b), (c, d))
         ac_bd = oracle_two_paths(g, (a, c), (b, d))
         assert (found is not None) == (ab_cd or ac_bd)
@@ -247,26 +237,20 @@ def test_jcell_matches_brute_force():
             rng.shuffle(quad)
             if not is_connected(h):
                 continue
-        report = is_jcell(h, *quad)
         expected = oracle_is_jcell(h, *quad)
         seen.add(expected)
-        assert report.is_jcell == (expected == 0)
-        if expected:
-            assert report.failing_condition.startswith(f"condition {expected}:")
+        assert is_jcell(h, *quad) == expected
     assert seen == {0, 1, 2, 3}
 
 
 def test_smallest_terminal_quadruple_accepted():
     gadget = named_graph("smallest_jcell")
     a, b, c, d = gadget.attach
-    report = is_jcell(gadget.graph, a, b, c, d)
-    assert report.is_jcell and report.failing_condition is None
+    assert is_jcell(gadget.graph, a, b, c, d) == 0
 
 
 def test_quadruple_conditions_reject_plain_cycle():
-    report = is_jcell(cycle(8), 0, 1, 2, 3)
-    assert not report.is_jcell
-    assert report.failing_condition is not None
+    assert is_jcell(cycle(8), 0, 1, 2, 3) != 0
 
 
 _BROKEN_WITNESS_CHECK = """
@@ -299,8 +283,8 @@ def test_witness_check_survives_optimize_flag():
 
 
 # The search tree is part of the contract: node counts and witnesses below
-# were recorded before the engine's per-node work was made local, and any
-# change to pruning or child order shows up here.
+# were recorded on earlier versions of the engine, and any change to
+# pruning or child order shows up here.
 _PINNED_32 = ("_I?G@C?_???_?@CQ?C@???C?G?Q???_@_C?g??_cC???E???`???AA?O?O??O"
               "??C?A@?C?_A?????gG???R?")
 
@@ -317,6 +301,19 @@ def test_search_tree_pinned_on_refutation():
     assert cut.status is Status.INDETERMINATE and cut.nodes == 16_508
 
 
+def test_fixed_start_refutations_pinned():
+    # every degree-2 start of the lemma counterexamples, as lemma_short_scan
+    # searches them
+    nodes = []
+    for f in load_fixtures("order18_no_deg2_start"):
+        for v in range(f.graph.n):
+            if f.graph.degree(v) == 2:
+                r = has_ham_path_from(f.graph, v)
+                assert r.status is Status.NO
+                nodes.append(r.nodes)
+    assert nodes == [43] * 4 + [383] * 2 + [351] * 2 + [175] * 2
+
+
 def test_fixture_refutations_pinned():
     results = [has_ham_path(f.graph) for f in load_fixtures()
                if not f.traceable]
@@ -331,9 +328,9 @@ def test_fixture_refutations_pinned():
     (lambda g: has_ham_cycle(g), 521,
      (0, 9, 16, 20, 5, 11, 24, 27, 4, 17, 28, 10, 25, 31, 22, 6, 7, 13, 3,
       1, 2, 15, 19, 14, 8, 23, 30, 29, 18, 21, 12, 26)),
-    (lambda g: has_ham_path_between(g, 0, 31), 1973,
-     (0, 22, 6, 7, 13, 3, 19, 14, 20, 5, 4, 17, 15, 2, 1, 18, 21, 30, 29, 8,
-      23, 9, 16, 25, 10, 28, 27, 24, 11, 12, 26, 31)),
+    (lambda g: has_ham_path_from(g, 5), 112,
+     (5, 4, 17, 15, 2, 1, 3, 19, 14, 20, 16, 25, 31, 22, 6, 7, 13, 10, 28,
+      27, 24, 11, 12, 26, 0, 9, 23, 8, 29, 18, 21, 30)),
 ])
 def test_search_tree_pinned_on_yes(query, nodes, witness):
     r = query(parse_graph6(_PINNED_32))
@@ -354,7 +351,6 @@ _QUERIES = {
     "path": has_ham_path,
     "cycle": has_ham_cycle,
     "from": lambda g, b: has_ham_path_from(g, 0, b),
-    "between": lambda g, b: has_ham_path_between(g, 0, g.n - 1, b),
     "free legs": lambda g, b: has_leg_cover(g, 2, False, b),
     "attached legs": lambda g, b: has_leg_cover(g, 2, True, b),
 }
@@ -459,8 +455,6 @@ def test_fixed_end_witness_is_checked(monkeypatch):
     assert check_path_witness(g, (3, 2, 1, 0))
     with pytest.raises(WitnessError):
         has_ham_path_from(g, 0)
-    with pytest.raises(WitnessError):
-        has_ham_path_between(g, 0, 3)
 
 
 # --- starts skipped by automorphism orbits ---------------------------------
