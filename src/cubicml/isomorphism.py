@@ -7,6 +7,15 @@ yields generators of the automorphism group, which in turn prune the
 search.  No canonical-form cache is kept; callers hash the returned bytes
 if they need one.
 
+Refinement is cell-local (McKay & Piperno 2014; Berkholz, Bonsma & Grohe
+2013): after a round, only a cell with a vertex next to a cell that split
+can split in the next one, so only those cells are signed again.  Two
+vertices of any other cell had equal neighbour-colour multisets, and
+their neighbours' cells were only renumbered, in order, so the multisets
+stay equal.  The colour ids are those of a global round that sorts every
+vertex's (colour, sorted neighbour colours): such a sort orders the cells
+by their old id and splits each by its sorted neighbour colours.
+
 The labeling also runs as a generator, ``canonical_steps``, which yields
 after each colour refinement; ``canonical_data`` drains it.  The
 hamiltonian path search advances it in step with its own nodes and uses
@@ -16,44 +25,83 @@ the orbits only once it has finished (see ``hamsearch``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterator
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .graph import Graph, bits
 
 
-def color_refine(g: Graph, colors: tuple[int, ...] | None = None,
+def color_refine(g: Graph, colors: Sequence[int] | None = None,
                  nbrs: list[tuple[int, ...]] | None = None) -> tuple[int, ...]:
     """Stable colouring from iterated neighbour-colour refinement.
 
-    Colour ids are normalised by sorted signature, so they are invariant
-    under vertex relabelling; refined ids also stay ordered consistently
-    with the ids they split (a signature leads with the previous colour).
-    ``nbrs`` lets hot callers reuse precomputed neighbour lists.
+    Colour ids are normalised by sorted signature (colour, sorted
+    neighbour colours), so they are invariant under vertex relabelling;
+    refined ids also stay ordered consistently with the ids they split (a
+    signature leads with the previous colour).  ``colors`` may hold any
+    ints.  ``nbrs`` lets hot callers reuse precomputed neighbour lists.
+
+    The first round signs every vertex; later rounds sign only the cells
+    with a vertex next to a cell that split in the round before (see
+    ``_refine``: no other cell can split, and the ids are the same as if
+    every vertex were signed and sorted each round).
     """
-    n = g.n
     if nbrs is None:
         nbrs = [tuple(bits(a)) for a in g.adj]
-    cur = colors if colors is not None else tuple(len(nb) for nb in nbrs)
-    ncls = len(set(cur))
-    rng = range(n)
+    col, cells = _partition(colors, nbrs)
+    _refine(nbrs, col, cells, range(len(cells)))
+    return tuple(col)
+
+
+def _partition(colors: Sequence[int] | None, nbrs: list[tuple[int, ...]]
+               ) -> tuple[list[int], list[list[int]]]:
+    """``colors``, or else the degrees, renumbered 0..k-1 in sorted order,
+    and the cells by id, each in increasing vertex order."""
+    if colors is None:
+        colors = [len(nb) for nb in nbrs]
+    order = {c: i for i, c in enumerate(sorted(set(colors)))}
+    col = [order[c] for c in colors]
+    cells: list[list[int]] = [[] for _ in order]
+    for v, c in enumerate(col):
+        cells[c].append(v)
+    return col, cells
+
+
+def _refine(nbrs: list[tuple[int, ...]], col: list[int],
+            cells: list[list[int]], dirty: Iterable[int]) -> None:
+    """Refine ``col`` and ``cells`` in place to the stable colouring:
+    sign the ``dirty`` cells, then in each further round only the cells
+    with a vertex next to a cell that split in the round before.
+
+    The vertices of each cell outside ``dirty`` must have equal multisets
+    of neighbour colours.  Such a cell cannot split while no cell next to
+    it splits: renumbering maps the unsplit cells onto their new ids by a
+    monotone bijection, so equal multisets stay equal.  The parts of a
+    split cell are numbered in order of their sorted neighbour colours,
+    the cells in order of their old ids, which is the order a global
+    round's sorted signatures (old colour first) give.
+    """
     while True:
-        sigs = [
-            (cur[v], *sorted([cur[w] for w in nbrs[v]]))
-            for v in rng
-        ]
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        nxt = tuple(order[s] for s in sigs)
-        if len(order) == ncls:
-            return nxt
-        cur = nxt
-        ncls = len(order)
-
-
-def _cells(colors: tuple[int, ...]) -> dict[int, list[int]]:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return cells
+        splits: dict[int, list[list[int]]] = {}
+        for c in dirty:
+            cell = cells[c]
+            if len(cell) < 2:
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                key = tuple(sorted([col[w] for w in nbrs[v]]))
+                parts.setdefault(key, []).append(v)
+            if len(parts) > 1:
+                splits[c] = [parts[k] for k in sorted(parts)]
+        if not splits:
+            return
+        first = min(splits)
+        cells[first:] = [part for c, cell in enumerate(cells[first:], first)
+                         for part in splits.get(c, (cell,))]
+        for c in range(first, len(cells)):
+            for v in cells[c]:
+                col[v] = c
+        dirty = {col[w] for parts in splits.values() for part in parts
+                 for v in part for w in nbrs[v]}
 
 
 def seed_places(n: int, max_degree: int) -> list[int]:
@@ -104,8 +152,7 @@ def pair_seeds(g: Graph) -> list[int]:
 def seeded_colors(g: Graph, seeds: list[int],
                   nbrs: list[tuple[int, ...]] | None = None) -> tuple[int, ...]:
     """Refined colouring with an invariant seed partition."""
-    order = {s: i for i, s in enumerate(sorted(set(seeds)))}
-    return color_refine(g, tuple(order[s] for s in seeds), nbrs)
+    return color_refine(g, seeds, nbrs)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -172,9 +219,13 @@ def canonical_steps(g: Graph, initial_colors: tuple[int, ...] | None = None
                     ) -> Generator[int, None, CanonicalData]:
     """Canonical form by individualise-refine, pruned by automorphisms.
 
-    A generator that yields ``g.n``, its unit of work, after each colour
-    refinement and returns the ``CanonicalData``, so a caller can spread
-    the labeling over its own work and stop it at any point.
+    A generator that yields ``g.n`` after each colour refinement and
+    returns the ``CanonicalData``, so a caller can spread the labeling
+    over its own work and stop it at any point.  ``g.n`` bounds the
+    vertices each round of the step's refinement signs, not the step: the
+    root's first round signs all of them, every later round and every
+    round of a child's refinement only the cells next to a split, and a
+    step may take many rounds.
 
     The form is the largest leaf form, and the labeling the first leaf in
     depth-first order that attains it.  A leaf whose form equals the first
@@ -201,28 +252,27 @@ def canonical_steps(g: Graph, initial_colors: tuple[int, ...] | None = None
     if n == 0:
         return CanonicalData(b"", (), ((),), ())
     nbrs = [tuple(bits(a)) for a in g.adj]
-    mark = n  # colour id outside the normalised 0..ncls-1 range
     first_form: bytes | None = None
     first_lab: list[int] = []
     first_path: list[int] = []
     best_form: bytes | None = None
     best_lab: list[int] = []
     gens: list[tuple[int, ...]] = []
-    # stack[i] is the open node whose prefix is path[:i]: its colours, an
-    # iterator over its target cell, and its explored children
-    stack: list[tuple[tuple[int, ...], Iterator[int], list[int]]] = []
+    # stack[i] is the open node whose prefix is path[:i]: its colours and
+    # cells, an iterator over its target cell, and its explored children
+    stack: list[tuple[list[int], list[list[int]], Iterator[int],
+                      list[int]]] = []
     path: list[int] = []
-    colors = initial_colors
+    col, cells = _partition(initial_colors, nbrs)
+    dirty: Iterable[int] = range(len(cells))
     while True:
-        colors = color_refine(g, colors, nbrs)
+        _refine(nbrs, col, cells, dirty)
         yield n
-        cells = _cells(colors)
-        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1),
-                      None)
+        target = next((cell for cell in cells if len(cell) > 1), None)
         if target is not None:
-            stack.append((colors, iter(target), []))
+            stack.append((col, cells, iter(target), []))
         else:
-            lab = sorted(range(n), key=colors.__getitem__)
+            lab = [cell[0] for cell in cells]
             form = _leaf_form(g, lab)
             if first_form is None:
                 first_form, first_lab, first_path = form, lab, path[:]
@@ -243,7 +293,7 @@ def canonical_steps(g: Graph, initial_colors: tuple[int, ...] | None = None
         # next child of the deepest open node that is in no explored
         # sibling's orbit under the generators fixing the node's prefix
         while stack:
-            colors, todo, explored = stack[-1]
+            col, cells, todo, explored = stack[-1]
             roots = None
             for v in todo:
                 if explored:
@@ -259,7 +309,15 @@ def canonical_steps(g: Graph, initial_colors: tuple[int, ...] | None = None
                 continue
             explored.append(v)
             path.append(v)
-            colors = tuple(mark if u == v else c for u, c in enumerate(colors))
+            # v alone in a new last cell: the cell a colour above every
+            # id would sort into
+            c = col[v]
+            col = col[:]
+            cells = cells[:]
+            cells[c] = [u for u in cells[c] if u != v]
+            col[v] = len(cells)
+            cells.append([v])
+            dirty = {col[w] for w in nbrs[v]}
             break
         if not stack:
             break

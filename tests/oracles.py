@@ -42,7 +42,7 @@ from cubicml.hamsearch import (
     has_ham_path,
     has_ham_path_from,
 )
-from cubicml.isomorphism import CanonicalData, _cells, _leaf_form, color_refine
+from cubicml.isomorphism import CanonicalData, _leaf_form
 
 
 def ham_path_without_orbits(g: Graph,
@@ -94,19 +94,46 @@ def lemma_short_hypotheses_at_cut_vertices(
     return True, None
 
 
+def full_round_refine(g: Graph, colors: tuple[int, ...] | None = None,
+                      nbrs: list[tuple[int, ...]] | None = None
+                      ) -> tuple[int, ...]:
+    """``isomorphism.color_refine`` as first written: every round signs
+    every vertex (colour, sorted neighbour colours) and numbers the
+    distinct signatures in sorted order, until no cell splits."""
+    n = g.n
+    if nbrs is None:
+        nbrs = [tuple(bits(a)) for a in g.adj]
+    cur = colors if colors is not None else tuple(len(nb) for nb in nbrs)
+    ncls = len(set(cur))
+    while True:
+        sigs = [(cur[v], *sorted([cur[w] for w in nbrs[v]]))
+                for v in range(n)]
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        nxt = tuple(order[s] for s in sigs)
+        if len(order) == ncls:
+            return nxt
+        cur = nxt
+        ncls = len(order)
+
+
+def _cells(colors: tuple[int, ...]) -> dict[int, list[int]]:
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    return cells
+
+
 def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
     """Explicit vertex mapping g1 -> g2 by refinement plus backtracking,
     or None.  Independent of the canonical-form machinery; intended for
     small graphs (regular inputs can degenerate)."""
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
-    c1 = color_refine(g1)
-    c2 = color_refine(g2)
+    c1 = full_round_refine(g1)
+    c2 = full_round_refine(g2)
     if sorted(c1) != sorted(c2):
         return None
-    cells2: dict[int, list[int]] = {}
-    for v, c in enumerate(c2):
-        cells2.setdefault(c, []).append(v)
+    cells2 = _cells(c2)
     # Match most-constrained vertices first: small colour classes early.
     order = sorted(range(g1.n), key=lambda v: (len(cells2[c1[v]]), c1[v], v))
     image = [-1] * g1.n
@@ -157,7 +184,7 @@ def full_canonical_data(g: Graph,
 
     def descend(colors: tuple[int, ...]) -> None:
         nonlocal first_form, best_form, first_lab, best_lab
-        colors = color_refine(g, colors, nbrs)
+        colors = full_round_refine(g, colors, nbrs)
         cells = _cells(colors)
         target = None
         for c in sorted(cells):
@@ -182,7 +209,7 @@ def full_canonical_data(g: Graph,
         for v in target:
             descend(tuple(n if u == v else c for u, c in enumerate(colors)))
 
-    descend(color_refine(g, initial_colors, nbrs))
+    descend(full_round_refine(g, initial_colors, nbrs))
     autos.append(tuple(range(n)))
     orbit = [min(perm[v] for perm in autos) for v in range(n)]
     assert best_form is not None

@@ -153,6 +153,18 @@ def test_cubic_output_pinned_n14():
                       "3bcf5e4bb1")
 
 
+@pytest.mark.slow
+def test_cubic_count_and_digest_n18():
+    # A002851 counts the connected cubic graphs on 18 vertices; the name
+    # leaves this run of several minutes out of CI's "pinned" selection
+    counts = []
+    digest = _graph6_digest(
+        lambda sink: counts.append(generate_cubic(18, sink=sink)))
+    assert counts == [41_301]
+    assert digest == ("8d4066027c2fb18ad4657e198aad1c212262b5f3f8432e78e9aaab"
+                      "3e23bc33a7")
+
+
 def test_degree23_output_pinned():
     digests = {n: _graph6_digest(lambda sink: generate_degree23(n, sink))
                for n in _PINNED_DEGREE23}

@@ -3,6 +3,7 @@
 import random
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,13 +16,14 @@ from cubicml.isomorphism import (
     are_isomorphic,
     canonical_data,
     canonical_form,
+    canonical_steps,
     color_refine,
     pair_seeds,
     seeded_colors,
 )
-from conftest import random_graph, shuffled_copy
-from oracles import find_isomorphism, full_canonical_data, group_elements, \
-    sorted_profile_seeds
+from conftest import bridged_prisms, random_graph, shuffled_copy
+from oracles import find_isomorphism, full_canonical_data, \
+    full_round_refine, group_elements, sorted_profile_seeds
 
 
 def cycle(n: int) -> Graph:
@@ -54,6 +56,27 @@ def test_color_refine_splits_by_degree():
 
 def test_color_refine_regular_graph_single_class():
     assert len(set(color_refine(cycle(6)))) == 1
+
+
+def test_color_refine_matches_full_rounds():
+    """Cell-local refinement gives the ids of rounds that sign every
+    vertex, from any initial colouring: unnormalised, negative, on empty
+    and one-vertex graphs, disconnected sparse ones and dense ones."""
+    rng = random.Random(21)
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, [])]
+    graphs += [random_graph(rng, rng.randint(2, 30),
+                            rng.choice((0.05, 0.1, 0.2, 0.5, 0.8)))
+               for _ in range(400)]
+    top = 0
+    for g in graphs:
+        colors = tuple(rng.randint(-4, 4) * 5 for _ in range(g.n))
+        assert color_refine(g) == full_round_refine(g)
+        assert color_refine(g, colors) == full_round_refine(g, colors)
+        assert seeded_colors(g, list(colors)) == full_round_refine(g, colors)
+        seeds = pair_seeds(g)
+        assert seeded_colors(g, seeds) == full_round_refine(g, tuple(seeds))
+        top = max(top, 0, *g.degrees())
+    assert top > 3
 
 
 def test_pair_seeds_separate_nonsimilar_vertices():
@@ -201,6 +224,38 @@ def test_pruned_labeling_matches_full_enumeration_in_generator(monkeypatch):
     assert calls
     for g, colors in calls:
         _assert_matches_oracle(g, colors)
+
+
+def _labeling_steps(g: Graph) -> int:
+    return sum(1 for _ in canonical_steps(g))
+
+
+# the steps canonical_steps yields per fixture: hamsearch steps the
+# labeling by its own search nodes, so these fix when the orbits arrive
+_STEPS_PER_FIXTURE = {
+    "nontraceable_28_c2_01": 54, "nontraceable_28_c2_02": 100,
+    "nontraceable_28_c2_03": 96, "nontraceable_28_c2_04": 101,
+    "nontraceable_28_c2_05": 133, "nontraceable_28_c2_06": 121,
+    "nontraceable_28_c2_07": 83, "nontraceable_28_c2_08": 90,
+    "nontraceable_28_c2_09": 84, "nontraceable_28_c3": 70,
+    "nontraceable_30_c3_01": 62, "nontraceable_30_c3_02": 94,
+    "nontraceable_30_c3_03": 83, "nontraceable_30_c3_04": 70,
+    "nontraceable_30_c3_05": 80, "nontraceable_30_c3_06": 85,
+    "nontraceable_30_c3_07": 78, "nontraceable_30_c3_08": 62,
+    "nontraceable_30_c3_09": 84, "order18_no_deg2_start_01": 15,
+    "order18_no_deg2_start_02": 15, "order18_no_deg2_start_03": 15,
+    "order18_no_deg2_start_04": 21,
+}
+
+
+def test_labeling_steps_per_fixture():
+    assert {f.id: _labeling_steps(f.graph)
+            for f in load_fixtures()} == _STEPS_PER_FIXTURE
+
+
+@pytest.mark.slow
+def test_labeling_steps_bridged_prisms():
+    assert _labeling_steps(bridged_prisms()) == 1_029
 
 
 def test_generators_of_large_groups_are_automorphisms():
