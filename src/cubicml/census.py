@@ -16,11 +16,11 @@ from typing import Iterable
 from .graph import (
     Graph,
     Graph6Error,
-    connected_components,
     degree_profile,
     is_connected,
     is_cubic,
     mask_of,
+    pieces,
     read_adjacency_file,
     read_graph6_lines,
     unparsable,
@@ -78,9 +78,9 @@ def lemma_short_hypotheses(g: Graph,
     Connected, all degrees in {2, 3}, at least two degree-2 vertices,
     every cut vertex leaves a degree-2 vertex in each component, and the
     graph is traceable.  Returns (ok, failing clause); ok is None when the
-    budget cut the traceability search.  Every vertex is tried as a cut
-    vertex: any other leaves one component, which holds a degree-2 vertex
-    since there are two.
+    budget cut the traceability search.  Every vertex v is tried: each
+    component of ``g`` - v holds a neighbour of v, so v fails when fewer
+    components hold a degree-2 vertex (a non-cut v passes, as there are two).
     """
     degs, _, deg2 = degree_profile(g)
     if g.n == 0 or any(d not in (2, 3) for d in degs):
@@ -89,12 +89,11 @@ def lemma_short_hypotheses(g: Graph,
         return False, "not connected"
     if len(deg2) < 2:
         return False, "fewer than two degree-2 vertices"
-    full = g.full_mask()
-    deg2_mask = mask_of(deg2)
+    full, deg2_mask = g.full_mask(), mask_of(deg2)
     for v in range(g.n):
-        for comp in connected_components(g, full & ~(1 << v)):
-            if comp & deg2_mask == 0:
-                return False, f"cut vertex {v}: a component has no degree-2 vertex"
+        rest = full ^ 1 << v
+        if pieces(g.adj, deg2_mask, rest) < pieces(g.adj, g.adj[v], rest):
+            return False, f"cut vertex {v}: a component has no degree-2 vertex"
     r = has_ham_path(g, budget)
     if r.status is Status.INDETERMINATE:
         return None, "traceability indeterminate under budget"

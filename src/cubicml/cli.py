@@ -63,7 +63,10 @@ def _budget(max_nodes: int | None) -> SearchBudget:
 def _max_nodes(text: str) -> int:
     """argparse type of ``--max-nodes``: a budget below one node would
     leave every non-trivial query INDETERMINATE."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

@@ -34,9 +34,9 @@ from typing import Any, Callable
 from .graph import (
     Graph,
     GraphError,
-    connected_components,
     is_connected,
     mask_of,
+    pieces,
     require_witness,
     vertex_connectivity_capped,
 )
@@ -212,7 +212,7 @@ def _ladder(g: Graph, budget: SearchBudget, ml: bool, k: int,
         raise GraphError("path cover of the empty graph is undefined")
     result, bottom = (MlResult, 2) if ml else (MuResult, 1)
     if not ml:  # one path per component at least
-        k = max(k, len(connected_components(g)))
+        k = max(k, pieces(g.adj, g.full_mask(), g.full_mask()))
     while True:
         if k > bottom or r is None:
             rung = has_tree_le_k_leaves if ml else has_path_cover_le_k

@@ -60,7 +60,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable
 
-from .graph import Graph, GraphError, bits, spread, vertex_connectivity_capped
+from .graph import Graph, GraphError, bits, mask_of, pieces, \
+    vertex_connectivity_capped
 from .isomorphism import CanonicalData, canonical_data, \
     pair_seeds as _pair_seeds, seed_places, seeded_colors as _seeded_colors
 
@@ -79,21 +80,16 @@ def _deletable(g: Graph, cuts: int,
     exists) and leaves every other vertex as it was.  A vertex with two or
     more neighbours only joins blocks, so cut vertices can only disappear:
     each parent cut vertex w stays one exactly when ``g`` - w is
-    disconnected, which one spread from the new vertex tells.
+    disconnected.  Each piece of the connected ``g`` - w holds a neighbour
+    of w, so the spread stops once it has reached them all.
     """
     if len(combo) == 1:
         if g.n > 2:
             cuts |= 1 << combo[0]
     elif cuts:
-        adj = g.adj
-        full = g.full_mask()
-        new = 1 << (g.n - 1)
-        kept = 0
-        for w in bits(cuts):
-            rest = full ^ (1 << w)
-            if spread(adj, new, rest) != rest:
-                kept |= 1 << w
-        cuts = kept
+        adj, full = g.adj, g.full_mask()
+        cuts = mask_of(w for w in bits(cuts)
+                       if pieces(adj, adj[w], full ^ 1 << w) > 1)
     return cuts, [v for v in range(g.n) if not cuts >> v & 1]
 
 

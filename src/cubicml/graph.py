@@ -2,7 +2,9 @@
 
 Vertices are integers 0..n-1.  Each vertex's neighbourhood is stored as a
 Python int used as a bitmask, which makes the set operations in the search
-hot loops (intersection, popcount, component spreading) cheap.
+hot loops (intersection, popcount, component spreading) cheap.  ``pieces``
+is the one connectivity helper; ``cut_vertices`` and ``_edge_cuts_capped``
+stay apart as linear-time answers to other questions.
 """
 
 from __future__ import annotations
@@ -106,40 +108,32 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def spread(adj: Sequence[int], seed: int, allowed: int) -> int:
-    """Bitmask of the vertices reachable from ``seed`` inside ``allowed``.
-
-    ``seed`` is a mask and may hold several vertices.  ``adj`` is any
-    sequence of neighbourhood masks: a graph's ``adj`` tuple, or a search's
-    live adjacency list with some edges removed.
+def pieces(adj: Sequence[int], seeds: int, allowed: int) -> int:
+    """Number of components of the subgraph induced on ``allowed`` that
+    meet ``seeds``.  ``adj`` is any sequence of neighbourhood masks.  Each
+    spread starts at the lowest seed left and stops once it has reached
+    every remaining seed, so it need not fill a large component.
     """
-    comp = seed & allowed
-    frontier = comp
-    while frontier:
-        grow = 0
-        for v in bits(frontier):
-            grow |= adj[v]
-        frontier = grow & allowed & ~comp
-        comp |= frontier
-    return comp
+    seeds &= allowed
+    count = 0
+    while seeds:
+        count += 1
+        frontier = seeds & -seeds
+        unseen = allowed ^ frontier
+        while frontier and seeds & unseen:
+            grow = 0
+            while frontier:
+                b = frontier & -frontier
+                grow |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = grow & unseen
+            unseen ^= frontier
+        seeds &= unseen
+    return count
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return spread(g.adj, 1, g.full_mask()) == g.full_mask()
-
-
-def connected_components(g: Graph, allowed: int | None = None) -> list[int]:
-    """Components of the subgraph induced on ``allowed`` (default: all), as masks."""
-    remaining = g.full_mask() if allowed is None else allowed
-    comps = []
-    while remaining:
-        seed = remaining & -remaining
-        comp = spread(g.adj, seed, remaining)
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+    return pieces(g.adj, g.full_mask(), g.full_mask()) <= 1
 
 
 def degree_profile(g: Graph) -> tuple[tuple[int, ...], bool, frozenset[int]]:

@@ -45,11 +45,11 @@ mask of residual-degree-<=1 vertices is passed down the search: degrees
 only fall, and only at the neighbours of the vertex just added, so a child
 refreshes the mask there.  The parent has already shown that the rest plus
 the current vertex is connected, so the rest is connected iff the current
-vertex's neighbours in it share a component; a spread from one of them
-stops once it has reached the others, and is skipped when there is at most
-one.  Only the root of a search (whose rest may be disconnected) spreads
-over the whole rest.  The search runs on an explicit stack, so path length
-is not bounded by the interpreter's recursion limit.
+vertex's neighbours in it form one piece (``graph.pieces``, written out
+inline in ``search``): the spread stops once it has reached them all and
+is skipped when there is at most one.  Only the root (whose rest may be
+disconnected) calls ``pieces`` on the whole rest.  The search runs on an
+explicit stack, so path length is not bounded by the recursion limit.
 
 A leg cover (``has_leg_cover``) covers V by at most p vertex-disjoint
 paths ("legs"), built one after another under a start rule:
@@ -62,11 +62,12 @@ paths ("legs"), built one after another under a start rule:
     neighbour of the visited vertices and grows one way.
 Let L be the number of legs still to start and e the number of open ends
 (none between legs; else the current end, and u during a first half, each
-if it has an unvisited neighbour).  Each of them covers part of one component of the unvisited
-rest and has at most two vertices of residual degree <= 1, so a node dies
-when the rest has more than L + e components or more than 2(L + e) such
-vertices.  Children go by (residual degree, vertex), then "end".  The
-component count is kept like the low mask, around the vertex just added.
+if it has an unvisited neighbour).  Each of them covers part of one
+component of the unvisited rest and has at most two vertices of residual
+degree <= 1, so a node dies when the rest has more than L + e components
+or more than 2(L + e) such vertices.  Children go by (residual degree,
+vertex), then "end".  The component count is kept like the low mask,
+around the vertex just added, by ``pieces`` over its unvisited neighbours.
 
 ``has_ham_path`` and ``has_leg_cover`` keep their last 16 answers each
 (``functools.lru_cache``), keyed by the exact question: the graph, the
@@ -91,8 +92,8 @@ from .graph import (
     bits,
     is_connected,
     mask_of,
+    pieces,
     require_witness,
-    spread,
 )
 from .isomorphism import CanonicalData, canonical_steps
 
@@ -241,11 +242,13 @@ class _Engine:
                     elif not a & (cur_adj | end_mask):
                         kids = []
                 if kids and root:
-                    if spread(adj, rest & -rest, rest) != rest:
+                    if pieces(adj, rest, rest) > 1:
                         kids = []
                 elif kids and nb & (nb - 1):
                     # The parent proved rest + cur connected, so rest is
                     # connected iff cur's neighbours in it share a component.
+                    # That is pieces(adj, nb, rest) == 1, kept inline: a
+                    # call at every node measured slower on verify-paper.
                     comp = nb & -nb
                     frontier = comp
                     unseen = rest ^ comp
@@ -292,7 +295,7 @@ class _Engine:
         nodes = self.nodes
         rest = self.full & ~1
         low = _low(adj, rest, rest)
-        comps = _pieces(adj, rest, rest)
+        comps = pieces(adj, rest, rest)
         reach = adj[0]
         left, phase, u, cur, a1 = p - 1, 1, 0, 0, -1
         trail = [0]
@@ -355,7 +358,7 @@ class _Engine:
             reach |= adj[v]
             nb = adj[v] & rest
             low |= _low(adj, nb, rest)
-            comps += _pieces(adj, nb, rest) - 1
+            comps += pieces(adj, nb, rest) - 1
 
 
 def _orbit_masks(orbit: tuple[int, ...]) -> list[int]:
@@ -364,26 +367,6 @@ def _orbit_masks(orbit: tuple[int, ...]) -> list[int]:
     for v, root in enumerate(orbit):
         masks[root] = masks.get(root, 0) | 1 << v
     return list(masks.values())
-
-
-def _pieces(adj: tuple[int, ...], nb: int, rest: int) -> int:
-    """Number of components of ``rest`` that meet ``nb``.  A spread from
-    one vertex of ``nb`` stops as soon as it has reached all the others."""
-    count = 0
-    while nb:
-        count += 1
-        frontier = nb & -nb
-        unseen = rest ^ frontier
-        while frontier and nb & unseen:
-            grow = 0
-            while frontier:
-                b = frontier & -frontier
-                grow |= adj[b.bit_length() - 1]
-                frontier ^= b
-            frontier = grow & unseen
-            unseen ^= frontier
-        nb &= unseen
-    return count
 
 
 def _low(adj: tuple[int, ...], among: int, rest: int) -> int:

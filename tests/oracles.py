@@ -24,7 +24,6 @@ from cubicml.graph import (
     Graph,
     GraphError,
     bits,
-    connected_components,
     cut_vertices,
     degree_profile,
     induced_subgraph,
@@ -83,7 +82,7 @@ def lemma_short_hypotheses_at_cut_vertices(
     full = g.full_mask()
     deg2_mask = mask_of(deg2)
     for v in bits(cut_vertices(g.adj, full)):
-        for comp in connected_components(g, full & ~(1 << v)):
+        for comp in components(g, full & ~(1 << v)):
             if comp & deg2_mask == 0:
                 return False, f"cut vertex {v}: a component has no degree-2 vertex"
     r = has_ham_path(g, budget)
@@ -380,11 +379,27 @@ def is_bipartite(g: Graph) -> bool:
     return True
 
 
+def components(g: Graph, allowed: int) -> list[int]:
+    """Components of the subgraph induced on ``allowed``, as masks, by a
+    plain breadth-first search over vertex sets (``graph.pieces`` counts
+    them with bitmask spreads that stop early)."""
+    left = {v for v in range(g.n) if allowed >> v & 1}
+    comps = []
+    while left:
+        queue = [left.pop()]
+        for u in queue:
+            joined = {w for w in left if g.adj[u] >> w & 1}
+            left -= joined
+            queue += joined
+        comps.append(sum(1 << v for v in queue))
+    return comps
+
+
 def components_after_deletion(g: Graph, deleted: Iterable[int]) -> int:
     dmask = mask_of(deleted)
     if dmask & ~g.full_mask():
         raise GraphError("deletion set out of vertex range")
-    return len(connected_components(g, g.full_mask() & ~dmask))
+    return len(components(g, g.full_mask() & ~dmask))
 
 
 def mu_lower_bound_deletion(g: Graph, deleted: Iterator[int] | list[int]) -> int:

@@ -254,14 +254,27 @@ def test_malformed_line_has_one_diagnostic(capsys, monkeypatch):
     assert seen.pop().startswith("line 2: unparsable graph6: character ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "-"], ["census", "-"], ["lemma-short", "-"], ["verify-paper"]])
+BUDGETED = [["analyze", "-"], ["census", "-"], ["lemma-short", "-"],
+            ["verify-paper"]]
+
+
+@pytest.mark.parametrize("argv", BUDGETED)
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_max_nodes_below_one_is_usage_error(argv, budget, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--max-nodes", budget])
     assert exc.value.code == 2
     assert "--max-nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", BUDGETED)
+def test_max_nodes_not_an_integer_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-nodes", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-nodes: must be an integer, got 'abc'" in err
+    assert "_max_nodes" not in err
 
 
 def test_census_has_no_jobs_option(capsys):

@@ -12,7 +12,6 @@ from cubicml.graph import (
     Graph6Error,
     GraphError,
     bits,
-    connected_components,
     cut_vertices,
     degree_profile,
     induced_subgraph,
@@ -20,6 +19,7 @@ from cubicml.graph import (
     is_cubic,
     mask_of,
     parse_graph6,
+    pieces,
     read_adjacency_file,
     read_graph6_lines,
     vertex_connectivity_capped,
@@ -27,7 +27,7 @@ from cubicml.graph import (
 )
 from cubicml.generate import generate_cubic, generate_degree23
 from conftest import bridged_prisms, prism, random_graph
-from oracles import components_after_deletion, is_bipartite
+from oracles import components, components_after_deletion, is_bipartite
 
 
 def k4() -> Graph:
@@ -76,9 +76,26 @@ def test_connectivity_predicates():
     assert is_connected(k4())
     two = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not is_connected(two)
-    comps = connected_components(two)
-    assert sorted(comps) == [0b0011, 0b1100]
-    assert len(connected_components(path(5), allowed=0b10101)) == 3
+    assert pieces(two.adj, 0b1111, 0b1111) == 2
+    assert pieces(two.adj, 0b0011, 0b1111) == 1
+    assert pieces(path(5).adj, 0b11111, 0b10101) == 3
+    assert pieces(path(5).adj, 0b10001, 0b11111) == 1
+
+
+def test_pieces_matches_oracle_components():
+    # random graphs, sparse ones mostly disconnected; seeds carry bits
+    # outside allowed, and both masks are sometimes empty
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randrange(13)
+        g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5]))
+        full = g.full_mask()
+        for allowed in (full, 0, rng.getrandbits(n), rng.getrandbits(n)):
+            comps = components(g, allowed)
+            for seeds in (full, 0, rng.getrandbits(n), rng.getrandbits(n)):
+                count = pieces(g.adj, seeds, allowed)
+                assert count == sum(1 for c in comps if c & seeds)
+                assert (count == 0) == (seeds & allowed == 0)
 
 
 def test_degree_profile_and_cubic():
