@@ -183,7 +183,12 @@ def _construct(family: str, params: list[str]) -> Graph:
     def one_int() -> int:
         if len(params) != 1:
             raise GraphError(f"{family} takes exactly one integer parameter")
-        return int(params[0])
+        text = params[0]
+        try:
+            return int(text)
+        except ValueError:
+            raise GraphError(
+                f"{family} takes one integer, got {text!r}") from None
 
     if family == "cycle_petersen":
         return cycle_of_edge_deleted_petersen(one_int())
@@ -213,7 +218,7 @@ def _construct(family: str, params: list[str]) -> Graph:
 def _cmd_construct(args: argparse.Namespace) -> int:
     try:
         g = _construct(args.family, args.params)
-    except (GraphError, ValueError) as exc:
+    except GraphError as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return 2
     line = _g6(g)

@@ -321,6 +321,9 @@ def test_construct_usage_errors(capsys):
     code, _, err = run(capsys, ["construct", "edge_expansion",
                                 "k4_minus_edge", "petersen"])
     assert code == 2 and "host" in err
+    for family, text in (("cycle_petersen", "abc"), ("p_star_k4", "x")):
+        code, _, err = run(capsys, ["construct", family, text])
+        assert code == 2 and repr(text) in err and "int()" not in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

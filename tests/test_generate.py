@@ -1,5 +1,6 @@
 """Isomorph-free generation against an independent generate-and-dedup oracle."""
 
+import functools
 import hashlib
 from itertools import combinations, product
 
@@ -220,14 +221,16 @@ def test_states_pairwise_non_isomorphic(monkeypatch):
         forms = {(g.n, canonical_form(g)) for g in states}
         assert len(forms) == len(states), (run.__name__, n)
         total += len(states)
-    # 3,415 before the forced last vertex was tested ahead
-    assert total == 3_015
+    # 3,415 before the forced last vertex was tested ahead, 3,015 before
+    # the degree game (``_live``) dropped dead cubic states
+    assert total == 2_076
 
 
 def test_generator_work_pinned(monkeypatch):
     # the labelings and refinements generate_cubic(12) asks for, and the
     # states it grows; before the lookahead and the lazy attachment orbits
-    # they were 1,318 / 2,540 / 2,301
+    # they were 1,318 / 2,540 / 2,301, and before the degree game
+    # (``_live``) 734 / 1,578 / 1,946
     calls = dict.fromkeys(("canonical_data", "_seeded_colors", "_grow"), 0)
     for name in calls:
         def counted(*args, _real=getattr(generate, name), _name=name):
@@ -235,8 +238,8 @@ def test_generator_work_pinned(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(generate, name, counted)
     assert generate_cubic(12) == 85
-    assert calls == {"canonical_data": 734, "_seeded_colors": 1_578,
-                     "_grow": 1_946}
+    assert calls == {"canonical_data": 469, "_seeded_colors": 963,
+                     "_grow": 1_109}
 
 
 def test_inherited_cut_mask_matches_dfs(monkeypatch):
@@ -257,6 +260,114 @@ def test_inherited_cut_mask_matches_dfs(monkeypatch):
     assert generate_cubic(10) == 19
     assert generate_degree23(8) == 60
     assert tried > 0
+
+
+def _unpruned_cubic(monkeypatch, n):
+    """``generate_cubic(n)`` with ``_live`` recording its arguments and
+    returning True.  Returns the graphs emitted and, for each grown state
+    that ``_live`` was asked about, its arguments, the state and its cut
+    mask, and the number of graphs its subtree emitted."""
+    grow = generate._grow
+    asked = None
+    out: list[Graph] = []
+    states: list[tuple[tuple[int, ...], Graph, int, int]] = []
+
+    def recorded(*counts):
+        nonlocal asked
+        asked = counts
+        return True
+
+    def counted(g, nbrs, cuts, *args):
+        # a grown child's question is the last one before its growth:
+        # nothing between a child's ``_live`` test and its ``_grow`` asks
+        # again, and a child with no slots left is never asked
+        nonlocal asked
+        mine, asked = asked, None
+        before = len(out)
+        grow(g, nbrs, cuts, *args)
+        if mine is not None:
+            states.append((mine, g, cuts, len(out) - before))
+
+    monkeypatch.setattr(generate, "_live", recorded)
+    monkeypatch.setattr(generate, "_grow", counted)
+    generate_cubic(n, sink=out.append)
+    monkeypatch.undo()
+    return out, states
+
+
+def _assert_live_sound(monkeypatch, n):
+    """Each grown state's counts are exact for its leaves and degree-2
+    vertices and claim no cut vertex as ``free2``; no state that ``_live``
+    judges dead emits a graph when grown anyway; pruning changes no byte
+    of the output.  Returns the number of grown states judged dead."""
+    pruned: list[Graph] = []
+    generate_cubic(n, sink=pruned.append)
+    out, states = _unpruned_cubic(monkeypatch, n)
+    dead = 0
+    for counts, g, cuts, emitted in states:
+        leaves, free2, other2, slots = counts
+        degs = [g.degree(v) for v in range(g.n)]
+        assert (leaves, free2 + other2, slots) == (
+            degs.count(1), degs.count(2), n - g.n), counts
+        assert free2 <= sum(1 for v, x in enumerate(degs)
+                            if x == 2 and not cuts >> v & 1), counts
+        # judged after the run: the recursion inside ``_live`` must not
+        # meet the recording stand-in
+        if not generate._live(*counts):
+            dead += 1
+            assert emitted == 0, counts
+    assert out == pruned
+    return dead
+
+
+def test_live_never_drops_an_emitting_state(monkeypatch):
+    dead = {n: _assert_live_sound(monkeypatch, n) for n in range(4, 13, 2)}
+    assert dead[12] > 0
+
+
+@pytest.mark.slow
+def test_live_never_drops_an_emitting_state_n14(monkeypatch):
+    assert _assert_live_sound(monkeypatch, 14) > 0
+
+
+@functools.cache
+def _game_on_vertices(tags, slots):
+    """Reference for ``_live``, move by move on labelled vertices: ``tags``
+    is the sorted tuple of (degree, surely non-cut) over the deficient
+    vertices, and a move joins a new vertex to any d of them."""
+    if not slots:
+        return not tags
+    for d in range(1, min(3, len(tags)) + 1):
+        for combo in combinations(range(len(tags)), d):
+            after = [(d, True)] if d < 3 else []
+            for i, (deg, safe) in enumerate(tags):
+                if i in combo:
+                    # a joined leaf stays non-cut unless k is its pendant
+                    deg, safe = deg + 1, d > 1
+                if deg < 3:
+                    after.append((deg, safe))
+            if not any(safe and deg < d for deg, safe in after) and \
+                    _game_on_vertices(tuple(sorted(after)), slots - 1):
+                return True
+    return False
+
+
+def test_live_matches_the_game_on_vertices():
+    for counts in product(range(4), range(4), range(5), range(7)):
+        leaves, free2, other2, slots = counts
+        tags = tuple(sorted([(1, True)] * leaves + [(2, True)] * free2
+                            + [(2, False)] * other2))
+        assert generate._live(*counts) == _game_on_vertices(tags, slots), \
+            counts
+
+
+def test_live_refines_feasible():
+    # a winning game is a simple-graph completion, which ``_feasible``
+    # decides exactly for a cubic target
+    for counts in product(range(7), range(7), range(7), range(9)):
+        leaves, free2, other2, slots = counts
+        if generate._live(*counts):
+            assert _feasible(2 * leaves + free2 + other2, slots, 3), counts
 
 
 def _has_completion(degs, slots, min_final_deg):
