@@ -16,6 +16,8 @@ from typing import Iterable
 from .graph import (
     Graph,
     Graph6Error,
+    bits,
+    cut_vertices,
     degree_profile,
     is_connected,
     is_cubic,
@@ -78,9 +80,10 @@ def lemma_short_hypotheses(g: Graph,
     Connected, all degrees in {2, 3}, at least two degree-2 vertices,
     every cut vertex leaves a degree-2 vertex in each component, and the
     graph is traceable.  Returns (ok, failing clause); ok is None when the
-    budget cut the traceability search.  Every vertex v is tried: each
-    component of ``g`` - v holds a neighbour of v, so v fails when fewer
-    components hold a degree-2 vertex (a non-cut v passes, as there are two).
+    budget cut the traceability search.  Each cut vertex v that one DFS
+    finds is tried (a non-cut v passes, as there are two degree-2 vertices):
+    v fails when fewer components of ``g`` - v hold a degree-2 vertex than
+    hold a neighbour of v, which every component does.
     """
     degs, _, deg2 = degree_profile(g)
     if g.n == 0 or any(d not in (2, 3) for d in degs):
@@ -90,7 +93,7 @@ def lemma_short_hypotheses(g: Graph,
     if len(deg2) < 2:
         return False, "fewer than two degree-2 vertices"
     full, deg2_mask = g.full_mask(), mask_of(deg2)
-    for v in range(g.n):
+    for v in bits(cut_vertices(g.adj, full)):
         rest = full ^ 1 << v
         if pieces(g.adj, deg2_mask, rest) < pieces(g.adj, g.adj[v], rest):
             return False, f"cut vertex {v}: a component has no degree-2 vertex"

@@ -246,11 +246,6 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
     # the parent's non-cut vertices stay deletable in every child, but for
     # the neighbour of a pendant k, which never has a lower degree than k
     free = [v for v in range(k) if not cuts >> v & 1]
-    if cubic and slots_left:
-        # the parent's side of the children's degree game (``_live``)
-        leaves = degs.count(1)
-        free2 = sum(1 for v in free if degs[v] == 2)
-        other2 = degs.count(2) - free2
     # attachment sets are deduplicated up to Aut(g) lazily (see the module
     # docstring): until the generators are known, ``tried`` keeps every
     # set tried and ``accepted`` each accepted set with its sorted seeds
@@ -290,31 +285,13 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
             if low < d and any(cdegs[v] < d for v in free):
                 continue
             if cubic and slots_left:
-                # the child's counts: a parent cut vertex may stop cutting
-                # once a non-pendant k joins its blocks, but stays in
-                # ``other2``, the conservative side
-                lv, f2, o2 = leaves, free2, other2
-                for v in combo:
-                    x = degs[v]
-                    if x == 1:
-                        lv -= 1
-                        if d == 1:
-                            o2 += 1
-                        else:
-                            f2 += 1
-                    elif x == 2:
-                        if cuts >> v & 1:
-                            o2 -= 1
-                        else:
-                            f2 -= 1
-                    else:
-                        # the root's vertex
-                        lv += 1
-                if d == 1:
-                    lv += 1
-                elif d == 2:
-                    f2 += 1
-                if not _live(lv, f2, o2, slots_left):
+                # the child's degree game: a degree-2 k is non-cut, a
+                # pendant k's neighbour cuts, and a parent cut vertex that k
+                # may have joined up stays in ``other2``, the safe side
+                f2 = (d == 2) + [cdegs[v] for v in free].count(2) \
+                    - (d == 1 and cdegs[combo[0]] == 2)
+                if not _live(cdegs.count(1), f2, cdegs.count(2) - f2,
+                             slots_left):
                     continue
             cseeds = _child_seeds(g, seeds, combo)
             seed = cseeds[k]

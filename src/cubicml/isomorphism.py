@@ -184,23 +184,18 @@ class CanonicalData:
     orbit: tuple[int, ...]  # orbit[v] = smallest vertex in v's orbit
 
 
-def _leaf_form(g: Graph, lab: list[int]) -> bytes:
-    pos = [0] * g.n
-    for i, v in enumerate(lab):
-        pos[v] = i
-    out = bytearray()
-    acc = 0
-    k = 0
-    for i in range(g.n):
-        ai = g.adj[lab[i]]
-        for j in range(i):
-            acc = acc << 1 | (ai >> lab[j] & 1)
-            k += 1
-            if k == 8:
-                out.append(acc)
-                acc = k = 0
-    if k:
-        out.append(acc << (8 - k))
+def _leaf_form(nbrs: list[tuple[int, ...]], pos: list[int]) -> bytes:
+    """Lower triangle, most significant bit first, of the graph ``nbrs``
+    with vertex v at position ``pos[v]``: pair j < i is bit i(i - 1)/2 + j."""
+    n = len(pos)
+    out = bytearray((n * (n - 1) // 2 + 7) >> 3)
+    for u, i in enumerate(pos):
+        row = i * (i - 1) >> 1
+        for w in nbrs[u]:
+            j = pos[w]
+            if j < i:
+                k = row + j
+                out[k >> 3] |= 128 >> (k & 7)
     return bytes(out)
 
 
@@ -273,7 +268,7 @@ def canonical_steps(g: Graph, initial_colors: tuple[int, ...] | None = None
             stack.append((col, cells, iter(target), []))
         else:
             lab = [cell[0] for cell in cells]
-            form = _leaf_form(g, lab)
+            form = _leaf_form(nbrs, col)  # col[v] is v's position
             if first_form is None:
                 first_form, first_lab, first_path = form, lab, path[:]
             elif form == first_form:

@@ -41,7 +41,7 @@ from cubicml.hamsearch import (
     has_ham_path,
     has_ham_path_from,
 )
-from cubicml.isomorphism import CanonicalData, _leaf_form
+from cubicml.isomorphism import CanonicalData
 
 
 def ham_path_without_orbits(g: Graph,
@@ -164,6 +164,26 @@ def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
     return list(image) if extend(0) else None
 
 
+def pairwise_leaf_form(g: Graph, lab: list[int]) -> bytes:
+    """``isomorphism._leaf_form`` as first written: every pair of positions
+    j < i in turn, row by row, one bit each, packed into bytes from the
+    most significant bit."""
+    out = bytearray()
+    acc = 0
+    k = 0
+    for i in range(g.n):
+        ai = g.adj[lab[i]]
+        for j in range(i):
+            acc = acc << 1 | (ai >> lab[j] & 1)
+            k += 1
+            if k == 8:
+                out.append(acc)
+                acc = k = 0
+    if k:
+        out.append(acc << (8 - k))
+    return bytes(out)
+
+
 def full_canonical_data(g: Graph,
                         initial_colors: tuple[int, ...] | None = None
                         ) -> CanonicalData:
@@ -192,7 +212,7 @@ def full_canonical_data(g: Graph,
                 break
         if target is None:
             lab = sorted(range(n), key=lambda v: colors[v])
-            form = _leaf_form(g, lab)
+            form = pairwise_leaf_form(g, lab)
             if first_form is None:
                 first_form = form
                 first_lab = lab

@@ -11,8 +11,9 @@ from cubicml import generate
 from cubicml.census import load_fixtures
 from cubicml.constructions import cycle_of_edge_deleted_petersen, jcell_ring
 from cubicml.generate import generate_cubic
-from cubicml.graph import Graph
+from cubicml.graph import Graph, bits
 from cubicml.isomorphism import (
+    _leaf_form,
     are_isomorphic,
     canonical_data,
     canonical_form,
@@ -23,7 +24,8 @@ from cubicml.isomorphism import (
 )
 from conftest import bridged_prisms, random_graph, shuffled_copy
 from oracles import find_isomorphism, full_canonical_data, \
-    full_round_refine, group_elements, sorted_profile_seeds
+    full_round_refine, group_elements, pairwise_leaf_form, \
+    sorted_profile_seeds
 
 
 def cycle(n: int) -> Graph:
@@ -180,6 +182,22 @@ def test_automorphisms_are_valid_and_orbits_correct():
     assert data.orbit[0] == data.orbit[4]
     assert data.orbit[1] == data.orbit[3]
     assert data.orbit[2] not in (data.orbit[0], data.orbit[1])
+
+
+def test_leaf_form_matches_pairwise_reference():
+    """Random graphs on 0 to 40 vertices under random labelings, and on
+    16 vertices, where the 120 pairs fill exactly 15 bytes."""
+    rng = random.Random(25)
+    orders = [rng.randint(0, 40) for _ in range(2_000)] + [16] * 200
+    for n in orders:
+        g = random_graph(rng, n, rng.choice((0.0, 0.1, 0.5, 0.9, 1.0)))
+        lab = list(range(n))
+        rng.shuffle(lab)
+        pos = [0] * n
+        for i, v in enumerate(lab):
+            pos[v] = i
+        nbrs = [tuple(bits(a)) for a in g.adj]
+        assert _leaf_form(nbrs, pos) == pairwise_leaf_form(g, lab), (n, lab)
 
 
 def _assert_matches_oracle(g: Graph, colors=None) -> None:
