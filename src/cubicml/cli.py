@@ -42,6 +42,7 @@ from .constructions import (
 from .exact import analyze
 from .generate import GENERATOR_MAX_DEG23, generate_cubic, generate_degree23
 from .graph import (
+    GRAPH6_MAX_N,
     Graph,
     Graph6Error,
     GraphError,
@@ -190,10 +191,14 @@ def _construct(family: str, params: list[str]) -> Graph:
             raise GraphError(
                 f"{family} takes one integer, got {text!r}") from None
 
-    if family == "cycle_petersen":
-        return cycle_of_edge_deleted_petersen(one_int())
-    if family == "jcell_ring":
-        return jcell_ring(one_int())
+    if family in ("cycle_petersen", "jcell_ring"):
+        k = one_int()
+        n = (10 if family == "cycle_petersen" else 8) * k
+        if n > GRAPH6_MAX_N:  # checked before building the ring
+            raise GraphError(f"order {n} exceeds supported graph6 range")
+        if family == "cycle_petersen":
+            return cycle_of_edge_deleted_petersen(k)
+        return jcell_ring(k)
     if family == "p_star_k4":
         count = one_int()
         if not 1 <= count <= 4:

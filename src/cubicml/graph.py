@@ -367,30 +367,20 @@ def parse_graph6(text: bytes | str) -> Graph:
         raise Graph6Error(
             f"expected {need} body bytes for n={n}, got {len(body)}", base + len(body)
         )
-    adj = [0] * n
-    k = 0  # bit cursor over the column-major upper triangle
-    for i, byte in enumerate(body):
-        c = byte - 63
-        if c < 0 or c > 63:
-            raise Graph6Error(f"character {byte!r} out of graph6 range", base + i)
-        for shift in range(5, -1, -1):
-            if c >> shift & 1:
-                if k >= nbits:
-                    raise Graph6Error("nonzero padding bits", base + i)
-                v = _column_of(k)
-                u = k - v * (v - 1) // 2
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            k += 1
+    if body and not 63 <= min(body) <= max(body) <= 126:
+        i = next(i for i, byte in enumerate(body) if not 63 <= byte <= 126)
+        raise Graph6Error(f"character {body[i]!r} out of graph6 range", base + i)
+    # Column v of the upper triangle is bits [v(v-1)/2, v(v+1)/2): the
+    # lower neighbours u < v, u = 0 first.  Padding sits in the last byte.
+    flat = "".join([format(byte - 63, "06b") for byte in body])
+    if "1" in flat[nbits:]:
+        raise Graph6Error("nonzero padding bits", base + len(body) - 1)
+    adj = [int(flat[v * (v - 1) // 2:v * (v + 1) // 2][::-1] or "0", 2)
+           for v in range(n)]
+    for v in range(n):
+        for u in bits(adj[v]):  # only the lower neighbours are set so far
+            adj[u] |= 1 << v
     return Graph(n, tuple(adj))
-
-
-def _column_of(k: int) -> int:
-    # Smallest v with v(v-1)/2 > k, minus 1: the column of upper-triangle bit k.
-    v = int((2 * k) ** 0.5) + 2
-    while v * (v - 1) // 2 > k:
-        v -= 1
-    return v
 
 
 def write_graph6(g: Graph) -> bytes:
@@ -402,21 +392,11 @@ def write_graph6(g: Graph) -> bytes:
         head = bytes([n + 63])
     else:
         head = bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
-    out = bytearray(head)
-    acc = 0
-    nacc = 0
-    for v in range(n):
-        col = g.adj[v]
-        for u in range(v):
-            acc = acc << 1 | (col >> u & 1)
-            nacc += 1
-            if nacc == 6:
-                out.append(acc + 63)
-                acc = 0
-                nacc = 0
-    if nacc:
-        out.append((acc << (6 - nacc)) + 63)
-    return bytes(out)
+    flat = "".join([format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+                    for v in range(1, n)])
+    flat += "0" * (-len(flat) % 6)
+    return head + bytes([int(flat[i:i + 6], 2) + 63
+                         for i in range(0, len(flat), 6)])
 
 
 def read_graph6_lines(lines: Iterable[bytes | str]

@@ -3,17 +3,16 @@ pruning.
 
 One backtracking engine serves every query flavour: free endpoints, fixed
 start, cycle closure, and path covers.  A path ends in an end mask: any
-vertex after a fixed start, and a choice outside ``done`` in the anchored
-driver below.  Verdicts are exact; a node budget can cut a search short, in
-which case the result is indeterminate rather than wrong.
+vertex after a fixed start, a neighbour of vertex 0 for a cycle (a path
+from 0 that ends next to 0), and a choice outside ``done`` in the anchored
+driver below.  Verdicts are exact; a node budget can cut a search short,
+in which case the result is indeterminate rather than wrong.
 
-Free-endpoint paths and cycles share one anchored driver.  It searches
-``prefix + [s, ..., t]`` for each choice s in ascending order and accepts
-only a final t > s among the choices, so each path or cycle is found in
-one direction only.  A cycle has prefix [0] and the neighbours of 0 as
-choices.  A path is a cycle through a hub adjacent to every vertex, cut
-open at the hub: empty prefix, every vertex a choice.  The hub stays
-implicit, because a real one would add a bit to every mask.
+Free-endpoint paths take the anchored driver.  It searches [s, ..., t] for
+each start s in ascending order and accepts only a final t > s, so each
+path is found in one direction only.  This is a cycle through a hub
+adjacent to every vertex, cut open at the hub; the hub stays implicit,
+because a real one would add a bit to every mask.
 
 A path also skips starts in the automorphism orbit of a failed one.  The
 driver keeps a mask ``done``; each start joins it before its search, which
@@ -29,8 +28,7 @@ therefore the orbit-free driver's, reached in no more nodes.  The orbits
 come from ``isomorphism.canonical_steps``, stepped after each failed start
 by as many units (n per colour refinement) as that start's search took
 nodes.  So the labeling costs at most the search's nodes plus one
-refinement, and a search cut by its budget has not waited for it.  Cycles
-take no labeling, so their trees are as before.
+refinement, and a search cut by its budget has not waited for it.
 
 Pruning at every node (Rubin, JACM 1974; Vandegriend & Culberson, JAIR
 1998):
@@ -40,16 +38,22 @@ Pruning at every node (Rubin, JACM 1974; Vandegriend & Culberson, JAIR
     of first/last roles) kills the branch;
   * children are tried in order of (residual degree, vertex).
 
-Each node does only local work, so its cost does not grow with n.  The
-mask of residual-degree-<=1 vertices is passed down the search: degrees
-only fall, and only at the neighbours of the vertex just added, so a child
-refreshes the mask there.  The parent has already shown that the rest plus
-the current vertex is connected, so the rest is connected iff the current
+The mask of residual-degree-<=1 vertices is passed down the search:
+degrees only fall, and only at the neighbours of the vertex just added, so
+a child refreshes the mask there.  Every search starts from one vertex of
+a connected graph, and each node's parent has shown that the rest plus the
+current vertex is connected, so the rest is connected iff the current
 vertex's neighbours in it form one piece (``graph.pieces``, written out
-inline in ``search``): the spread stops once it has reached them all and
-is skipped when there is at most one.  Only the root (whose rest may be
-disconnected) calls ``pieces`` on the whole rest.  The search runs on an
-explicit stack, so path length is not bounded by the recursion limit.
+inline): the spread stops once it has reached them all and is skipped
+when there is at most one.  The kill is sound on any graph; only the
+connected start makes it complete.  The spread is not local: on a ring of
+blocks the only way round is often the whole ring, so the cost per node
+grows with n.  Under a 50,000-node budget ``has_ham_path`` takes about
+6 µs per node on ``cycle_of_edge_deleted_petersen(10)`` (n = 100, NO at
+33,088 nodes) and about 35 µs on ``cycle_of_edge_deleted_petersen(100)``
+(n = 1,000, INDETERMINATE), in CPU time on a 2-core Xeon under
+CPython 3.11.  The search runs on an explicit stack, so path length is not
+bounded by the recursion limit.
 
 A leg cover (``has_leg_cover``) covers V by at most p vertex-disjoint
 paths ("legs"), built one after another under a start rule:
@@ -148,14 +152,14 @@ class _Engine:
         self.max_nodes = budget.max_nodes
         self.nodes = 0
 
-    def anchored(self, prefix: list[int], choices: int,
-                 labeling: Generator[int, None, CanonicalData] | None = None
+    def anchored(self, choices: int,
+                 labeling: Generator[int, None, CanonicalData]
                  ) -> tuple[int, ...] | None:
-        """Hamiltonian path ``prefix + [s, ..., t]`` with s and t in
-        ``choices``, trying each s in ascending order and t only outside
-        ``done``: the starts tried so far and, once ``labeling`` has
-        finished, their orbits.  After each failed start the labeling is
-        stepped by as many units as that start's search took nodes."""
+        """Hamiltonian path [s, ..., t] with s and t in ``choices``, trying
+        each s in ascending order and t only outside ``done``: the starts
+        tried so far and, once ``labeling`` has finished, their orbits.
+        After each failed start the labeling is stepped by as many units as
+        that start's search took nodes."""
         done = 0
         classes: list[int] | None = None  # orbit masks, once labelled
         credit = 0
@@ -167,10 +171,10 @@ class _Engine:
             if not end_mask:
                 break
             before = self.nodes
-            w = self.search(prefix + [s], end_mask)
+            w = self.search([s], end_mask)
             if w is not None:
                 return w
-            if labeling is not None and classes is None:
+            if classes is None:
                 credit += self.nodes - before
                 try:
                     while credit > 0:
@@ -189,10 +193,10 @@ class _Engine:
 
         The path's vertices count as visited and its last vertex is where
         the search stands.  The path ends in ``end_mask``, so a rest that
-        misses ``end_mask`` is dead.  The root node proves its unvisited
-        rest connected by a full spread and scans it for low-degree
-        vertices; every deeper node only looks around the vertex just added
-        (see the module docstring).
+        misses ``end_mask`` is dead.  The unvisited rest is scanned for
+        low-degree vertices once, before the root; every node then only
+        looks around the vertex just added (see the module docstring).
+        Callers pass one vertex of a connected graph as ``path``.
         """
         adj = self.adj
         max_nodes = self.max_nodes
@@ -202,7 +206,6 @@ class _Engine:
             return tuple(path)
         low = _low(adj, rest, rest)  # unvisited, residual degree <= 1
         cur = path[-1]
-        root = True
         stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
         while True:
             nodes += 1
@@ -241,10 +244,7 @@ class _Engine:
                             kids = []
                     elif not a & (cur_adj | end_mask):
                         kids = []
-                if kids and root:
-                    if pieces(adj, rest, rest) > 1:
-                        kids = []
-                elif kids and nb & (nb - 1):
+                if kids and nb & (nb - 1):
                     # The parent proved rest + cur connected, so rest is
                     # connected iff cur's neighbours in it share a component.
                     # That is pieces(adj, nb, rest) == 1, kept inline: a
@@ -264,7 +264,6 @@ class _Engine:
                             break
                         unseen ^= frontier
                 kids.sort()
-            root = False
             if kids:
                 stack.append((rest, low, iter(kids)))
             else:
@@ -455,7 +454,7 @@ def has_ham_path_from(g: Graph, start: int,
 def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     """Hamiltonian path, endpoints free.
 
-    The anchored cycle driver answers it as a cycle through an implicit hub
+    The anchored driver answers it as a cycle through an implicit hub
     adjacent to every vertex: from each start s in ascending order it
     accepts only an end t > s, which halves the refutation work without
     losing any witness, and it skips the starts in the orbit of a failed
@@ -473,21 +472,20 @@ def _ham_path(g: Graph, budget: SearchBudget) -> SearchResult:
     if g.n <= 2:  # connected, so listed in order
         return SearchResult(Status.YES, tuple(range(g.n)))
     return _run(g, budget,
-                lambda e: e.anchored([], g.full_mask(), canonical_steps(g)))
+                lambda e: e.anchored(g.full_mask(), canonical_steps(g)))
 
 
 def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     """Hamiltonian cycle; witness lists each vertex once, closure implied.
 
-    Anchored at vertex 0; the symmetry second-vertex < last-vertex halves
-    the traversal directions.
+    A hamiltonian path from vertex 0 that ends next to 0.
     """
     if g.n < 3:
         raise GraphError("hamiltonian cycle needs at least 3 vertices")
     if not is_connected(g):
         return SearchResult(Status.NO)
     return _checked(g, ("cycle",),
-                    _run(g, budget, lambda e: e.anchored([0], g.adj[0])))
+                    _run(g, budget, lambda e: e.search([0], g.adj[0])))
 
 
 def has_leg_cover(g: Graph, p: int, attached: bool = False,

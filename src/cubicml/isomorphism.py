@@ -30,28 +30,6 @@ from typing import Generator, Iterable, Iterator, Sequence
 from .graph import Graph, bits
 
 
-def color_refine(g: Graph, colors: Sequence[int] | None = None,
-                 nbrs: list[tuple[int, ...]] | None = None) -> tuple[int, ...]:
-    """Stable colouring from iterated neighbour-colour refinement.
-
-    Colour ids are normalised by sorted signature (colour, sorted
-    neighbour colours), so they are invariant under vertex relabelling;
-    refined ids also stay ordered consistently with the ids they split (a
-    signature leads with the previous colour).  ``colors`` may hold any
-    ints.  ``nbrs`` lets hot callers reuse precomputed neighbour lists.
-
-    The first round signs every vertex; later rounds sign only the cells
-    with a vertex next to a cell that split in the round before (see
-    ``_refine``: no other cell can split, and the ids are the same as if
-    every vertex were signed and sorted each round).
-    """
-    if nbrs is None:
-        nbrs = [tuple(bits(a)) for a in g.adj]
-    col, cells = _partition(colors, nbrs)
-    _refine(nbrs, col, cells, range(len(cells)))
-    return tuple(col)
-
-
 def _partition(colors: Sequence[int] | None, nbrs: list[tuple[int, ...]]
                ) -> tuple[list[int], list[list[int]]]:
     """``colors``, or else the degrees, renumbered 0..k-1 in sorted order,
@@ -149,30 +127,32 @@ def pair_seeds(g: Graph) -> list[int]:
     return seeds
 
 
-def seeded_colors(g: Graph, seeds: list[int],
+def seeded_colors(g: Graph, seeds: Sequence[int],
                   nbrs: list[tuple[int, ...]] | None = None) -> tuple[int, ...]:
-    """Refined colouring with an invariant seed partition."""
-    return color_refine(g, seeds, nbrs)
+    """Stable colouring from iterated neighbour-colour refinement of the
+    invariant partition ``seeds``, which may hold any ints.
+
+    Colour ids are normalised by sorted signature (colour, sorted
+    neighbour colours), so they are invariant under vertex relabelling;
+    refined ids also stay ordered consistently with the ids they split (a
+    signature leads with the previous colour).  ``nbrs`` lets hot callers
+    reuse precomputed neighbour lists.
+
+    The first round signs every vertex; later rounds sign only the cells
+    with a vertex next to a cell that split in the round before (see
+    ``_refine``: no other cell can split, and the ids are the same as if
+    every vertex were signed and sorted each round).
+    """
+    if nbrs is None:
+        nbrs = [tuple(bits(a)) for a in g.adj]
+    col, cells = _partition(seeds, nbrs)
+    _refine(nbrs, col, cells, range(len(cells)))
+    return tuple(col)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: invariant screens, then canonical forms.
-
-    The screens (degree sequences, pairwise-profile invariants, refined
-    colour multisets) settle most non-isomorphic pairs; ties are decided
-    by comparing canonical forms, which stays fast on regular graphs
-    where the pure backtracking matcher degenerates.
-    """
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    s1, s2 = pair_seeds(g1), pair_seeds(g2)
-    if sorted(s1) != sorted(s2):
-        return False
-    # identical seed multisets make the per-graph colour normalisations
-    # comparable across the two graphs
-    if sorted(seeded_colors(g1, s1)) != sorted(seeded_colors(g2, s2)):
-        return False
-    return canonical_form(g1) == canonical_form(g2)
+    """Exact isomorphism test by canonical forms."""
+    return g1.n == g2.n and canonical_form(g1) == canonical_form(g2)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,12 @@ from cubicml.cover import (
 )
 from cubicml.exact import SpanningTree
 from cubicml.graph import (
+    GRAPH6_HEADER,
+    GRAPH6_MAX_N,
     Graph,
+    Graph6Error,
     GraphError,
+    _g6_n_and_body,
     bits,
     cut_vertices,
     degree_profile,
@@ -67,6 +71,72 @@ def ham_path_without_orbits(g: Graph,
     return _checked(g, ("path",), _run(g, budget, find))
 
 
+def bitwise_parse_graph6(text: bytes | str) -> Graph:
+    """``graph.parse_graph6`` as first written: one bit at a time over the
+    column-major upper triangle, each bit's column found by a square root,
+    each byte checked as it is read."""
+    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+    data = data.strip()
+    if data.startswith(GRAPH6_HEADER):
+        data = data[len(GRAPH6_HEADER):]
+    if not data.isascii():
+        i = next(i for i, byte in enumerate(data) if byte > 127)
+        raise Graph6Error(f"non-ASCII byte 0x{data[i]:02x}", i)
+    n, body, base = _g6_n_and_body(data)
+    if n > GRAPH6_MAX_N:
+        raise Graph6Error(f"order {n} exceeds supported graph6 range", 0)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) != need:
+        raise Graph6Error(
+            f"expected {need} body bytes for n={n}, got {len(body)}", base + len(body)
+        )
+    adj = [0] * n
+    k = 0  # bit cursor over the column-major upper triangle
+    for i, byte in enumerate(body):
+        c = byte - 63
+        if c < 0 or c > 63:
+            raise Graph6Error(f"character {byte!r} out of graph6 range", base + i)
+        for shift in range(5, -1, -1):
+            if c >> shift & 1:
+                if k >= nbits:
+                    raise Graph6Error("nonzero padding bits", base + i)
+                # smallest v with v(v-1)/2 > k, minus 1: the column of bit k
+                v = int((2 * k) ** 0.5) + 2
+                while v * (v - 1) // 2 > k:
+                    v -= 1
+                u = k - v * (v - 1) // 2
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            k += 1
+    return Graph(n, tuple(adj))
+
+
+def bitwise_write_graph6(g: Graph) -> bytes:
+    """``graph.write_graph6`` as first written: one bit at a time, column
+    by column, six to a byte."""
+    n = g.n
+    if n <= 62:
+        out = bytearray([n + 63])
+    else:
+        out = bytearray([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63,
+                         (n & 63) + 63])
+    acc = 0
+    nacc = 0
+    for v in range(n):
+        col = g.adj[v]
+        for u in range(v):
+            acc = acc << 1 | (col >> u & 1)
+            nacc += 1
+            if nacc == 6:
+                out.append(acc + 63)
+                acc = 0
+                nacc = 0
+    if nacc:
+        out.append((acc << (6 - nacc)) + 63)
+    return bytes(out)
+
+
 def lemma_short_hypotheses_at_cut_vertices(
         g: Graph, budget: SearchBudget = UNLIMITED,
 ) -> tuple[bool | None, str | None]:
@@ -96,7 +166,7 @@ def lemma_short_hypotheses_at_cut_vertices(
 def full_round_refine(g: Graph, colors: tuple[int, ...] | None = None,
                       nbrs: list[tuple[int, ...]] | None = None
                       ) -> tuple[int, ...]:
-    """``isomorphism.color_refine`` as first written: every round signs
+    """``isomorphism.seeded_colors`` as first written: every round signs
     every vertex (colour, sorted neighbour colours) and numbers the
     distinct signatures in sorted order, until no cell splits."""
     n = g.n

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from cubicml import cli
 from cubicml.census import load_fixtures
 from cubicml.cli import main
 from cubicml.graph import Graph, is_cubic, parse_graph6, write_graph6
@@ -324,6 +325,27 @@ def test_construct_usage_errors(capsys):
     for family, text in (("cycle_petersen", "abc"), ("p_star_k4", "x")):
         code, _, err = run(capsys, ["construct", family, text])
         assert code == 2 and repr(text) in err and "int()" not in err
+
+
+def test_construct_checks_ring_order_before_building(capsys, monkeypatch):
+    # 8 * 32256 and 10 * 25805 are the first ring orders past graph6's
+    # 4-byte form; a stand-in constructor shows which rings get built
+    built = []
+
+    def stand_in(k):
+        built.append(k)
+        return complete_graph(4)
+
+    monkeypatch.setattr(cli, "jcell_ring", stand_in)
+    monkeypatch.setattr(cli, "cycle_of_edge_deleted_petersen", stand_in)
+    for family, k, n in (("jcell_ring", 32256, 258048),
+                         ("cycle_petersen", 25805, 258050)):
+        code, out, err = run(capsys, ["construct", family, str(k)])
+        assert (code, out) == (2, "")
+        assert f"order {n} exceeds supported graph6 range" in err
+        code, out, _ = run(capsys, ["construct", family, str(k - 1)])
+        assert code == 0 and out == "C~\n"
+    assert built == [32255, 25804]
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -27,7 +27,13 @@ from cubicml.graph import (
 )
 from cubicml.generate import generate_cubic, generate_degree23
 from conftest import bridged_prisms, prism, random_graph
-from oracles import components, components_after_deletion, is_bipartite
+from oracles import (
+    bitwise_parse_graph6,
+    bitwise_write_graph6,
+    components,
+    components_after_deletion,
+    is_bipartite,
+)
 
 
 def k4() -> Graph:
@@ -248,6 +254,59 @@ def test_graph6_rejects_malformed():
         parse_graph6(b"~~AAAA")  # 8-byte order form
     with pytest.raises(Graph6Error):
         parse_graph6("B~")  # nonzero padding bits for n=3
+
+
+def _g6_outcome(parse, data: bytes):
+    """The adjacency ``parse`` reads from ``data``, or its error's text and
+    byte offset."""
+    try:
+        return parse(data).adj
+    except Graph6Error as exc:
+        return str(exc), exc.offset
+
+
+def test_graph6_matches_bitwise_reference():
+    """Column slices read and write what one bit at a time does, on both
+    sides of the switch from the 1-byte to the 4-byte order form."""
+    rng = random.Random(26)
+    for n in list(range(71)) * 3:
+        g = random_graph(rng, n, rng.choice((0.0, 0.05, 0.3, 0.7, 1.0)))
+        enc = write_graph6(g)
+        assert enc == bitwise_write_graph6(g)
+        assert (enc[0] == 126) == (n > 62)
+        assert parse_graph6(enc).adj == bitwise_parse_graph6(enc).adj == g.adj
+
+
+def test_graph6_errors_match_bitwise_reference():
+    """Malformed bodies give the per-bit reader's message and byte offset:
+    bad characters anywhere, nonzero padding bits, both in the last byte,
+    and bodies one byte short or long."""
+    rng = random.Random(27)
+    bad_bytes = [*range(33, 63), 127]
+    kinds = ("body bytes", "out of graph6 range", "nonzero padding bits")
+    seen = set()
+    for n in list(range(2, 71)) * 2:
+        enc = bytearray(write_graph6(random_graph(rng, n, 0.3)))
+        base = 4 if n > 62 else 1
+        pad = -(n * (n - 1) // 2) % 6
+        variants = [enc[:-1], enc + b"?", enc + enc[-1:]]
+        i = rng.randrange(base, len(enc))
+        variants.append(enc[:i] + bytes([rng.choice(bad_bytes)]) + enc[i + 1:])
+        if pad:
+            last = (enc[-1] - 63 | 1 << rng.randrange(pad)) + 63
+            padded = enc[:-1] + bytes([last])
+            variants.append(padded)
+            variants.append(padded[:-1] + bytes([127]))
+            if len(enc) - base > 1:
+                j = rng.randrange(base, len(enc) - 1)
+                variants.append(padded[:j] + bytes([rng.choice(bad_bytes)])
+                                + padded[j + 1:])
+        for data in map(bytes, variants):
+            want = _g6_outcome(bitwise_parse_graph6, data)
+            assert isinstance(want, tuple), data
+            assert _g6_outcome(parse_graph6, data) == want
+            seen.update(k for k in kinds if k in want[0])
+    assert seen == set(kinds)
 
 
 def test_graph6_rejects_non_ascii_with_offset():

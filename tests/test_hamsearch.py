@@ -314,6 +314,16 @@ def test_fixed_start_refutations_pinned():
     assert nodes == [43] * 4 + [383] * 2 + [351] * 2 + [175] * 2
 
 
+def test_split_rest_kills_the_root():
+    # vertex 8 joins two K4s; no vertex of either has residual degree <= 1,
+    # so only the connectivity check refutes the start, at the root
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    g = Graph.from_edges(9, k4 + [(a + 4, b + 4) for a, b in k4]
+                         + [(8, 0), (8, 4)])
+    r = has_ham_path_from(g, 8)
+    assert r.status is Status.NO and r.nodes == 1
+
+
 def test_fixture_refutations_pinned():
     results = [has_ham_path(f.graph) for f in load_fixtures()
                if not f.traceable]
@@ -325,7 +335,7 @@ def test_fixture_refutations_pinned():
     (lambda g: has_ham_path(g), 771,
      (0, 9, 16, 20, 5, 11, 24, 27, 4, 17, 28, 10, 25, 31, 22, 6, 7, 13, 3,
       1, 2, 15, 19, 14, 8, 23, 30, 29, 18, 21, 12, 26)),
-    (lambda g: has_ham_cycle(g), 521,
+    (lambda g: has_ham_cycle(g), 522,
      (0, 9, 16, 20, 5, 11, 24, 27, 4, 17, 28, 10, 25, 31, 22, 6, 7, 13, 3,
       1, 2, 15, 19, 14, 8, 23, 30, 29, 18, 21, 12, 26)),
     (lambda g: has_ham_path_from(g, 5), 112,

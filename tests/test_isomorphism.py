@@ -18,7 +18,6 @@ from cubicml.isomorphism import (
     canonical_data,
     canonical_form,
     canonical_steps,
-    color_refine,
     pair_seeds,
     seeded_colors,
 )
@@ -51,13 +50,13 @@ def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 def test_color_refine_splits_by_degree():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])  # path
-    colors = color_refine(g)
+    colors = seeded_colors(g, g.degrees())
     assert colors[0] == colors[3] and colors[1] == colors[2]
     assert colors[0] != colors[1]
 
 
 def test_color_refine_regular_graph_single_class():
-    assert len(set(color_refine(cycle(6)))) == 1
+    assert len(set(seeded_colors(cycle(6), cycle(6).degrees()))) == 1
 
 
 def test_color_refine_matches_full_rounds():
@@ -72,9 +71,8 @@ def test_color_refine_matches_full_rounds():
     top = 0
     for g in graphs:
         colors = tuple(rng.randint(-4, 4) * 5 for _ in range(g.n))
-        assert color_refine(g) == full_round_refine(g)
-        assert color_refine(g, colors) == full_round_refine(g, colors)
-        assert seeded_colors(g, list(colors)) == full_round_refine(g, colors)
+        assert seeded_colors(g, g.degrees()) == full_round_refine(g)
+        assert seeded_colors(g, colors) == full_round_refine(g, colors)
         seeds = pair_seeds(g)
         assert seeded_colors(g, seeds) == full_round_refine(g, tuple(seeds))
         top = max(top, 0, *g.degrees())
