@@ -73,6 +73,51 @@ or more than 2(L + e) such vertices.  Children go by (residual degree,
 vertex), then "end".  The component count is kept like the low mask,
 around the vertex just added, by ``pieces`` over its unvisited neighbours.
 
+Each query keeps a table of dead states, whose whole subtree it has
+searched without a witness: the subset DP of Bellman (JACM 1962) and Held &
+Karp (SIAM J. 1962), run lazily inside the branch search.  A path search's
+state is (rest, cur), the unvisited rest and the vertex it stands on; the
+low mask, the connectivity check and every kill are functions of them and
+of the end mask.  A leg search's state is (rest, left, phase, u, a1, cur);
+``low``, ``comps`` and ``reach`` are functions of rest.  A search records a
+state when it pops the state's node, and skips a child whose state is
+recorded.  Budgets count expanded nodes, so a skipped child costs none, and
+a budget cut unwinds the search without recording anything.  A key is one
+int, and no two states share a key for any n: a path key is rest with cur
+set as a one-hot field above it, ``rest | 1 << n + cur``, which a child's
+key reaches from its parent's rest by one xor; a leg key puts rest above
+(left, phase), packed in ``(3 p).bit_length()`` bits, and u, a1 + 1 and
+cur, in ``n.bit_length()`` bits each.  Until a search has recorded
+something, it looks nothing up.
+
+The anchored driver keeps one table over its starts.  Each start's end mask
+``choices & ~done`` lies inside the one before, and a search under a smaller
+end mask is the same tree with more kills and fewer accepted leaves, so a
+state dead under one end mask is dead under every later one.  The driver
+skips nothing until the orbits are known, so until then it takes the nodes,
+and pays the labeling the units, that it would take without the table; from
+then on each start has the end mask it would have without the table.
+Child order is unchanged and only exhausted subtrees are skipped, so every
+query expands a subsequence of the nodes the table-free search expands: the
+same status and witness, never more nodes, and INDETERMINATE only where the
+table-free search is.  A NO is still the end of an exhaustive search.  (A
+table that skipped from the first start could pay the labeling less per
+start and so learn the orbits one start later: at the same threshold it
+refuted ``nontraceable_28_c2_09`` in 2,992 nodes against 2,982 without the
+table.)
+
+A state is recorded only when at least ``_DEAD_MIN`` = 64 nodes were
+expanded below it, because few recorded states are ever met again (367 of
+12,918 over the 19 fixture refutations) and each costs memory until its
+query ends.  Over one ``verify_paper_artifacts`` pass the table holds 3.4
+entries per 100 expanded nodes, at most 2,234 in one query: a dict of 74 KB
+plus 71 KB of keys.  A threshold of 32 cut the fixture refutations from
+452,644 to 359,014 nodes (64: 383,261), but its largest table held 4,358
+keys, and with a set for the table a perfbench ``verify-paper`` run read
+1.4 % more peak RSS than without one (0.7 % at 64).  The table is a dict
+with None values, not a set, because CPython grows a set fourfold and a
+dict threefold: at 2,234 keys the dict takes 74 KB and a set 131 KB.
+
 ``has_ham_path`` and ``has_leg_cover`` keep their last 16 answers each
 (``functools.lru_cache``), keyed by the exact question: the graph, the
 budget and, for a leg cover, p and the start rule.  The engine is
@@ -145,12 +190,17 @@ def check_path_witness(g: Graph, path: tuple[int, ...]) -> bool:
     return check_legs_witness(g, (path,), 1, False)
 
 
+_DEAD_MIN = 64  # nodes below a refuted state before the table keeps it
+
+
 class _Engine:
     def __init__(self, g: Graph, budget: SearchBudget):
         self.adj = g.adj
         self.full = g.full_mask()
         self.max_nodes = budget.max_nodes
         self.nodes = 0
+        self.dead: dict[int, None] = {}  # keys of refuted states
+        self.skip = self.dead  # the keys a search skips
 
     def anchored(self, choices: int,
                  labeling: Generator[int, None, CanonicalData]
@@ -159,10 +209,13 @@ class _Engine:
         each s in ascending order and t only outside ``done``: the starts
         tried so far and, once ``labeling`` has finished, their orbits.
         After each failed start the labeling is stepped by as many units as
-        that start's search took nodes."""
+        that start's search took nodes.  The searches record dead states
+        from the first start but skip them only once the orbits are known
+        (see the module docstring)."""
         done = 0
         classes: list[int] | None = None  # orbit masks, once labelled
         credit = 0
+        self.skip = {}  # nothing until the orbits are known
         for s in bits(choices):
             if done >> s & 1:
                 continue
@@ -181,6 +234,7 @@ class _Engine:
                         credit -= next(labeling)
                 except StopIteration as stop:
                     classes = _orbit_masks(stop.value.orbit)
+                    self.skip = self.dead
             if classes is not None:
                 for c in classes:
                     if c & done:
@@ -196,17 +250,25 @@ class _Engine:
         misses ``end_mask`` is dead.  The unvisited rest is scanned for
         low-degree vertices once, before the root; every node then only
         looks around the vertex just added (see the module docstring).
-        Callers pass one vertex of a connected graph as ``path``.
+        Callers pass one vertex of a connected graph as ``path``.  Each
+        frame keeps the node count at its expansion, so that a frame popped
+        after ``_DEAD_MIN`` more nodes is recorded.
         """
         adj = self.adj
         max_nodes = self.max_nodes
         nodes = self.nodes
+        dead = self.dead
+        skip = self.skip
+        dead_min = _DEAD_MIN
+        n = len(adj)
+        # rest ^ flip[v] moves v from rest to a one-hot field above it
+        flip = [1 << v | 1 << n + v for v in range(n)]
         rest = self.full & ~mask_of(path)
         if rest == 0:
             return tuple(path)
         low = _low(adj, rest, rest)  # unvisited, residual degree <= 1
         cur = path[-1]
-        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
+        stack: list[tuple[int, int, int, Iterator[tuple[int, int]]]] = []
         while True:
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
@@ -265,20 +327,25 @@ class _Engine:
                         unseen ^= frontier
                 kids.sort()
             if kids:
-                stack.append((rest, low, iter(kids)))
+                stack.append((rest, low, nodes, iter(kids)))
             else:
                 path.pop()
             while stack:
-                rest, low, it = stack[-1]
+                rest, low, start, it = stack[-1]
                 kid = next(it, None)
-                if kid is not None:
+                if kid is None:
+                    stack.pop()
+                    if nodes - start >= dead_min:
+                        dead[rest | 1 << n + path.pop()] = None
+                    else:
+                        path.pop()
+                    continue
+                cur = kid[1]
+                if not skip or rest ^ flip[cur] not in skip:
                     break
-                stack.pop()
-                path.pop()
             else:
                 self.nodes = nodes
                 return None
-            cur = kid[1]
             path.append(cur)
             b = 1 << cur
             rest ^= b
@@ -297,6 +364,11 @@ class _Engine:
         comps = pieces(adj, rest, rest)
         reach = adj[0]
         left, phase, u, cur, a1 = p - 1, 1, 0, 0, -1
+        dead = self.dead
+        dead_min = _DEAD_MIN
+        w = len(adj).bit_length()  # holds any of 0 .. n
+        # (left, phase, u, a1 + 1, cur) below rest, in this many bits
+        lbits = (3 * p).bit_length() + 3 * w
         trail = [0]
         stack: list[tuple] = []
         while True:
@@ -324,40 +396,55 @@ class _Engine:
                     kids.append((0, -1))  # end the half or the leg
             if kids:
                 stack.append((rest, low, comps, reach, left, phase, u, a1,
-                              cur, len(trail), iter(kids)))
+                              cur, len(trail), nodes, iter(kids)))
             while stack:
-                kid = next(stack[-1][-1], None)
-                if kid is not None:
+                (rest, low, comps, reach, left, phase, u, a1, cur, depth,
+                 start, it) = stack[-1]
+                kid = next(it, None)
+                if kid is None:
+                    stack.pop()
+                    if nodes - start >= dead_min:
+                        dead[_leg_key(rest, left, phase, u, a1, cur, w,
+                                      lbits)] = None
+                    continue
+                v = kid[1]
+                if v < 0:
+                    if phase == 1 and cur != u:  # turn back to grow from u
+                        phase, cur = 2, u
+                    else:  # close the leg
+                        phase = 0
+                else:
+                    if not phase:
+                        left -= 1
+                        phase, u, a1 = 2 if attached else 1, v, -1
+                    elif phase == 1 and cur == u:
+                        a1 = v
+                    cur = v
+                    rest ^= 1 << v
+                if not dead or _leg_key(rest, left, phase, u, a1, cur, w,
+                                        lbits) not in dead:
                     break
-                stack.pop()
             else:
                 self.nodes = nodes
                 return None
-            (rest, low, comps, reach, left, phase, u, a1, cur, depth,
-             _) = stack[-1]
             del trail[depth:]
-            v = kid[1]
             if v < 0:
-                if phase == 1 and cur != u:  # turn back to grow from u
-                    phase, cur = 2, u
-                    trail.append(-1)
-                else:  # close the leg
-                    phase = 0
-                    trail.append(-2)
+                trail.append(-1 if phase else -2)
                 continue
-            if not phase:
-                left -= 1
-                phase, u, a1 = 2 if attached else 1, v, -1
-            elif phase == 1 and cur == u:
-                a1 = v
-            cur = v
             trail.append(v)
-            rest ^= 1 << v
             low &= rest
             reach |= adj[v]
             nb = adj[v] & rest
             low |= _low(adj, nb, rest)
             comps += pieces(adj, nb, rest) - 1
+
+
+def _leg_key(rest: int, left: int, phase: int, u: int, a1: int, cur: int,
+             w: int, lbits: int) -> int:
+    """One int for a leg search state: the small fields in ``lbits`` low
+    bits, each vertex number (and a1 + 1) in ``w`` bits, rest above."""
+    small = (((left * 3 + phase) << w | u) << w | a1 + 1) << w | cur
+    return rest << lbits | small
 
 
 def _orbit_masks(orbit: tuple[int, ...]) -> list[int]:

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
+from unittest import mock
 
+from cubicml import hamsearch
 from cubicml.cover import (
     SHORT_THRESHOLD,
     AttachmentPlan,
@@ -33,6 +35,7 @@ from cubicml.graph import (
     induced_subgraph,
     is_connected,
     mask_of,
+    pieces,
     require_witness,
 )
 from cubicml.hamsearch import (
@@ -40,18 +43,212 @@ from cubicml.hamsearch import (
     SearchBudget,
     SearchResult,
     Status,
+    _BudgetExhausted,
     _checked,
+    _Engine,
+    _low,
     _run,
+    _split_trail,
     has_ham_path,
     has_ham_path_from,
 )
 from cubicml.isomorphism import CanonicalData
 
 
+class TableFreeEngine(_Engine):
+    """``hamsearch._Engine`` without the dead-state table: its path and
+    leg searches as they were before the table, so every state is searched
+    as often as the search reaches it."""
+
+    def search(self, path: list[int],
+               end_mask: int) -> tuple[int, ...] | None:
+        """Extend ``path`` to a hamiltonian path of ``full``, or None.
+
+        The path's vertices count as visited and its last vertex is where
+        the search stands.  The path ends in ``end_mask``, so a rest that
+        misses ``end_mask`` is dead.  The unvisited rest is scanned for
+        low-degree vertices once, before the root; every node then only
+        looks around the vertex just added (see the ``hamsearch``
+        docstring).  Callers pass one vertex of a connected graph as
+        ``path``.
+        """
+        adj = self.adj
+        max_nodes = self.max_nodes
+        nodes = self.nodes
+        rest = self.full & ~mask_of(path)
+        if rest == 0:
+            return tuple(path)
+        low = _low(adj, rest, rest)  # unvisited, residual degree <= 1
+        cur = path[-1]
+        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
+        while True:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                self.nodes = nodes
+                raise _BudgetExhausted
+            cur_adj = adj[cur]
+            nb = cur_adj & rest
+            kids: list[tuple[int, int]] = []
+            if not rest & (rest - 1):  # single vertex left
+                if nb & end_mask:
+                    path.append(rest.bit_length() - 1)
+                    self.nodes = nodes
+                    return tuple(path)
+            elif rest & end_mask:
+                # Residual degrees fall only around cur: refresh low there
+                # and keep each neighbour's degree to order the children.
+                m = nb
+                while m:
+                    b = m & -m
+                    u = b.bit_length() - 1
+                    d = (adj[u] & rest).bit_count()
+                    if d <= 1:
+                        low |= b
+                    kids.append((d, u))
+                    m ^= b
+                # Low vertices must end the rest of the path: at most two,
+                # one of them able to come first (next to cur) and the
+                # other last.
+                if low:
+                    a = low & -low
+                    z = low ^ a
+                    if z:
+                        if z & (z - 1) or not (a & cur_adj and z & end_mask
+                                               or z & cur_adj and a & end_mask):
+                            kids = []
+                    elif not a & (cur_adj | end_mask):
+                        kids = []
+                if kids and nb & (nb - 1):
+                    # The parent proved rest + cur connected, so rest is
+                    # connected iff cur's neighbours in it share a component.
+                    # That is pieces(adj, nb, rest) == 1, kept inline: a
+                    # call at every node measured slower on verify-paper.
+                    comp = nb & -nb
+                    frontier = comp
+                    unseen = rest ^ comp
+                    while nb & unseen:
+                        grow = 0
+                        while frontier:
+                            b = frontier & -frontier
+                            grow |= adj[b.bit_length() - 1]
+                            frontier ^= b
+                        frontier = grow & unseen
+                        if not frontier:
+                            kids = []
+                            break
+                        unseen ^= frontier
+                kids.sort()
+            if kids:
+                stack.append((rest, low, iter(kids)))
+            else:
+                path.pop()
+            while stack:
+                rest, low, it = stack[-1]
+                kid = next(it, None)
+                if kid is not None:
+                    break
+                stack.pop()
+                path.pop()
+            else:
+                self.nodes = nodes
+                return None
+            cur = kid[1]
+            path.append(cur)
+            b = 1 << cur
+            rest ^= b
+            low &= ~b
+
+    def legs(self, p: int, attached: bool) -> tuple[tuple[int, ...], ...] | None:
+        """At most ``p`` legs covering ``full`` under the free or the
+        attached start rule (see the ``hamsearch`` docstring).  ``trail``
+        lists the visited vertices in order, with -1 where a leg turns back
+        to its anchor u and -2 where a leg closes."""
+        adj = self.adj
+        max_nodes = self.max_nodes
+        nodes = self.nodes
+        rest = self.full & ~1
+        low = _low(adj, rest, rest)
+        comps = pieces(adj, rest, rest)
+        reach = adj[0]
+        left, phase, u, cur, a1 = p - 1, 1, 0, 0, -1
+        trail = [0]
+        stack: list[tuple] = []
+        while True:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                self.nodes = nodes
+                raise _BudgetExhausted
+            if not rest:
+                self.nodes = nodes
+                return _split_trail(trail)
+            # open ends: the current end, and u during a first half
+            if phase:
+                nb = adj[cur] & rest
+                if phase == 2 and cur == u and a1 >= 0:
+                    nb &= -2 << a1  # a second half starts above a1
+                room = left + (nb != 0) + (phase == 1 and adj[u] & rest != 0)
+            else:  # between legs: where the next one may start
+                nb = reach & rest if attached else rest & -rest
+                room = left
+            kids: list[tuple[int, int]] = []
+            if comps <= room and low.bit_count() <= 2 * room:
+                kids = sorted([((adj[v] & rest).bit_count(), v)
+                               for v in bits(nb)])
+                if phase and (left or phase == 1 and cur != u):
+                    kids.append((0, -1))  # end the half or the leg
+            if kids:
+                stack.append((rest, low, comps, reach, left, phase, u, a1,
+                              cur, len(trail), iter(kids)))
+            while stack:
+                kid = next(stack[-1][-1], None)
+                if kid is not None:
+                    break
+                stack.pop()
+            else:
+                self.nodes = nodes
+                return None
+            (rest, low, comps, reach, left, phase, u, a1, cur, depth,
+             _) = stack[-1]
+            del trail[depth:]
+            v = kid[1]
+            if v < 0:
+                if phase == 1 and cur != u:  # turn back to grow from u
+                    phase, cur = 2, u
+                    trail.append(-1)
+                else:  # close the leg
+                    phase = 0
+                    trail.append(-2)
+                continue
+            if not phase:
+                left -= 1
+                phase, u, a1 = 2 if attached else 1, v, -1
+            elif phase == 1 and cur == u:
+                a1 = v
+            cur = v
+            trail.append(v)
+            rest ^= 1 << v
+            low &= rest
+            reach |= adj[v]
+            nb = adj[v] & rest
+            low |= _low(adj, nb, rest)
+            comps += pieces(adj, nb, rest) - 1
+
+
+def table_free(query: Callable[..., SearchResult], *args) -> SearchResult:
+    """``query(*args)`` for a ``hamsearch`` query, searched afresh (past
+    the caches) on a ``TableFreeEngine``."""
+    with mock.patch.object(hamsearch, "_Engine", TableFreeEngine), \
+            mock.patch.object(hamsearch, "_ham_path",
+                              hamsearch._ham_path.__wrapped__), \
+            mock.patch.object(hamsearch, "_legs", hamsearch._legs.__wrapped__):
+        return query(*args)
+
+
 def ham_path_without_orbits(g: Graph,
                             budget: SearchBudget = UNLIMITED) -> SearchResult:
-    """``hamsearch.has_ham_path`` without the orbit skip and the memo: one
-    search from every start s in ascending order, ending at some t > s."""
+    """``hamsearch.has_ham_path`` without the orbit skip, the memo and the
+    dead-state table: one search from every start s in ascending order,
+    ending at some t > s."""
     if g.n == 0 or not is_connected(g):
         return SearchResult(Status.NO)
     if g.n <= 2:
@@ -68,7 +265,8 @@ def ham_path_without_orbits(g: Graph,
                 return w
         return None
 
-    return _checked(g, ("path",), _run(g, budget, find))
+    with mock.patch.object(hamsearch, "_Engine", TableFreeEngine):
+        return _checked(g, ("path",), _run(g, budget, find))
 
 
 def bitwise_parse_graph6(text: bytes | str) -> Graph:

@@ -201,7 +201,6 @@ def test_criterion_5_construction_formulas():
            "; ".join(details))
 
 
-@pytest.mark.slow
 def test_criterion_5_ring_of_five_cells():
     report(min_leaf_number(jcell_ring(5)).value == 3,
            "criterion-5-slow: ring of 5 cells has ml=3")

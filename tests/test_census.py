@@ -190,7 +190,6 @@ def test_in_repo_census_small_orders():
         assert r.conn2 == 0 and r.conn3 == 0 and r.indeterminate == 0
 
 
-@pytest.mark.slow
 def test_verify_paper_artifacts_all_green():
     checks = verify_paper_artifacts()
     failures = [c for c in checks if not c.ok]

@@ -184,7 +184,6 @@ def test_census_fails_on_undecided_lines(tmp_path, capsys):
         assert err.startswith(diagnostic) and bool(err) == bool(diagnostic)
 
 
-@pytest.mark.slow
 def test_census_of_generated_stream_and_fixtures(tmp_path, capsys):
     from cubicml.census import load_fixtures
     from cubicml.generate import generate_cubic

@@ -254,8 +254,25 @@ def test_mu_of_gadget_caterpillars_within_budget(leaves):
 def test_two_leg_refutation_of_gadget_caterpillars_pinned(leaves):
     # pinned, like the single-path search trees: a change to the leg
     # search's pruning or child order shows up here
+    # 3,543 nodes before the dead-state table
     r = has_leg_cover(gadget_caterpillar(leaves), 2)
-    assert r.status is Status.NO and r.nodes == 3_543
+    assert r.status is Status.NO and r.nodes == 518
+
+
+def test_deep_ml_refutation_of_a_gadget_caterpillar_pinned():
+    # ml(T_6) <= 5 as five attached legs: 653,959 nodes before the
+    # dead-state table
+    r = has_leg_cover(gadget_caterpillar(6), 4, True)
+    assert r.status is Status.NO and r.nodes == 70_903
+
+
+def test_ml_and_mu_of_t7_within_budget():
+    # ml <= 6 was INDETERMINATE at 3M nodes before the dead-state table
+    g = gadget_caterpillar(7)
+    ml = min_leaf_number(g, SearchBudget(2_000_000))
+    assert ml.status is Status.YES and ml.value == 7
+    assert ml.tree.validate(g) and ml.tree.leaf_count == 7
+    assert path_cover_number(g).value == 4
 
 
 def test_bridged_long_prisms_need_no_recursion():

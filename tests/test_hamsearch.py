@@ -21,6 +21,7 @@ from cubicml.graph import (
     Graph, GraphError, WitnessError, induced_subgraph, is_connected,
     parse_graph6)
 from cubicml.hamsearch import (
+    UNLIMITED,
     SearchBudget,
     Status,
     check_path_witness,
@@ -29,12 +30,13 @@ from cubicml.hamsearch import (
     has_ham_path_from,
     has_leg_cover,
 )
-from cubicml.constructions import named_graph
-from cubicml.constructions import cycle_of_edge_deleted_petersen
+from cubicml.constructions import (
+    cycle_of_edge_deleted_petersen, jcell_ring, named_graph)
 from conftest import (
-    bridged_prisms, prism, random_connected_graph, relabel, shuffled_copy)
+    bridged_prisms, gadget_caterpillar, prism, random_connected_graph,
+    random_cubic_graph, random_graph, relabel, shuffled_copy)
 from jcell import ham_path_between, is_jcell, two_path_pairing
-from oracles import ham_path_without_orbits
+from oracles import ham_path_without_orbits, table_free
 
 
 def cycle(n: int) -> Graph:
@@ -293,12 +295,13 @@ def test_search_tree_pinned_on_refutation():
     g = next(f.graph for f in load_fixtures("nontraceable_30_conn3")
              if f.id == "nontraceable_30_c3_01")
     r = has_ham_path(g)
-    assert r.status is Status.NO and r.nodes == 16_508
+    # 16,508 nodes before the dead-state table
+    assert r.status is Status.NO and r.nodes == 14_866
     # the same answer again, kept in the cache or searched afresh
     assert has_ham_path(g) == r
-    assert has_ham_path(g, SearchBudget(16_508)) == r
-    cut = has_ham_path(g, SearchBudget(16_507))
-    assert cut.status is Status.INDETERMINATE and cut.nodes == 16_508
+    assert has_ham_path(g, SearchBudget(14_866)) == r
+    cut = has_ham_path(g, SearchBudget(14_865))
+    assert cut.status is Status.INDETERMINATE and cut.nodes == 14_866
 
 
 def test_fixed_start_refutations_pinned():
@@ -312,6 +315,14 @@ def test_fixed_start_refutations_pinned():
                 assert r.status is Status.NO
                 nodes.append(r.nodes)
     assert nodes == [43] * 4 + [383] * 2 + [351] * 2 + [175] * 2
+
+
+def test_search_tree_pinned_beyond_64_vertices():
+    # n = 66: a path key whose one-hot cur field started at bit 64, not at
+    # bit n, would let cur 0 and 1 collide with vertices 64 and 65 of rest,
+    # and here skip a live state
+    r = has_ham_path_from(random_cubic_graph(random.Random(36), 66), 50)
+    assert r.status is Status.YES and r.nodes == 2_664
 
 
 def test_split_rest_kills_the_root():
@@ -328,7 +339,8 @@ def test_fixture_refutations_pinned():
     results = [has_ham_path(f.graph) for f in load_fixtures()
                if not f.traceable]
     assert len(results) == 19 and all(r.is_no for r in results)
-    assert sum(r.nodes for r in results) == 452_644
+    # 452,644 nodes before the dead-state table
+    assert sum(r.nodes for r in results) == 383_261
 
 
 @pytest.mark.parametrize("query, nodes, witness", [
@@ -546,3 +558,90 @@ def test_labeling_is_paid_for_by_search_nodes(monkeypatch):
             units.clear()
             r = has_ham_path(g, budget)
             assert sum(units) <= r.nodes + g.n
+
+
+# --- the dead-state table ----------------------------------------------------
+
+_TABLE_QUERIES = {
+    "path": has_ham_path,
+    "cycle": has_ham_cycle,
+    "from 0": lambda g, b: has_ham_path_from(g, 0, b),
+    "from last": lambda g, b: has_ham_path_from(g, g.n - 1, b),
+    **{f"{'attached' if attached else 'free'} legs p={p}":
+       (lambda g, b, p=p, attached=attached: has_leg_cover(g, p, attached, b))
+       for p in (1, 2, 3) for attached in (False, True)},
+}
+
+
+def _agrees_with_table_free(g: Graph, budgets, skip=()) -> None:
+    """Every query kind with the table answers as the table-free engine
+    does under each budget: the same status and witness when the reference
+    decides, INDETERMINATE only where the reference is, and never more
+    nodes.  A budget of None means none."""
+    for name, query in _TABLE_QUERIES.items():
+        if name in skip or name == "cycle" and g.n < 3:
+            continue
+        answers = set()
+        for max_nodes in budgets:
+            budget = SearchBudget(max_nodes)
+            r, ref = _fresh(query, g, budget), table_free(query, g, budget)
+            assert r.nodes <= ref.nodes, (name, max_nodes)
+            if r.status is Status.INDETERMINATE:
+                assert ref.status is Status.INDETERMINATE, (name, max_nodes)
+                assert r.nodes == max_nodes + 1
+            else:
+                answers.add((r.status, r.witness))
+            if ref.status is not Status.INDETERMINATE:
+                answers.add((ref.status, ref.witness))
+        assert len(answers) <= 1, name
+
+
+# The table keeps only states with large subtrees, which graphs this small
+# seldom have, so these tests also run with every refuted state kept.
+_DEAD_MINS = pytest.mark.parametrize("dead_min", [0, hamsearch._DEAD_MIN])
+
+
+@_DEAD_MINS
+def test_table_agrees_with_table_free_on_random_graphs(monkeypatch, dead_min):
+    monkeypatch.setattr(hamsearch, "_DEAD_MIN", dead_min)
+    rng = random.Random(27)
+    for i in range(150):
+        n = rng.randint(1, 12)
+        g = (random_connected_graph(rng, n, rng.uniform(0.2, 0.6)) if i % 5
+             else random_graph(rng, n, rng.uniform(0.1, 0.5)))
+        _agrees_with_table_free(g, (None, 0, 1, 5, 30, 100, 500))
+
+
+def test_table_agrees_with_table_free_on_fixtures():
+    # a one-leg cover of a non-traceable fixture takes about 10^5 nodes, so
+    # those two queries run under budgets only
+    legs1 = ("free legs p=1", "attached legs p=1")
+    for f in load_fixtures():
+        _agrees_with_table_free(f.graph, (None, 0, 10, 1000), skip=legs1)
+        _agrees_with_table_free(f.graph, (0, 10, 1000, 20_000),
+                                skip=set(_TABLE_QUERIES) - set(legs1))
+
+
+@_DEAD_MINS
+def test_table_agrees_with_table_free_beyond_64_vertices(monkeypatch,
+                                                          dead_min):
+    monkeypatch.setattr(hamsearch, "_DEAD_MIN", dead_min)
+    # more than 64 vertices, where a key field of fixed width (6 bits for a
+    # vertex, or a one-hot field from bit 64) would collide with the next
+    rng = random.Random(28)
+    graphs = [prism(33), cycle_of_edge_deleted_petersen(7),
+              gadget_caterpillar(12), jcell_ring(9)]
+    for g in graphs + [shuffled_copy(rng, g)[0] for g in graphs]:
+        _agrees_with_table_free(g, (0, 100, 2_000, 10_000))
+
+
+def test_table_does_not_outlive_its_query():
+    # two identical queries past the caches search alike: a table kept
+    # between them would let the second skip what the first refuted
+    g = next(f.graph for f in load_fixtures("nontraceable_30_conn3")
+             if f.id == "nontraceable_30_c3_01")
+    t6 = gadget_caterpillar(6)
+    for query, h in ((has_ham_path, g),
+                     (lambda h, b: has_leg_cover(h, 4, True, b), t6)):
+        first = _fresh(query, h, UNLIMITED)
+        assert first.is_no and _fresh(query, h, UNLIMITED) == first
