@@ -232,6 +232,7 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
     from .constructions import complete_graph, substitute_p_star
 
     checks: list[Check] = []
+    form: dict[str, bytes] = {}  # canonical forms by fixture id
     census_fixtures = [f for f in load_fixtures() if f.family != "order18_no_deg2_start"]
     for f in census_fixtures:
         checks.append(Check(f.id, "order", f.order, f.graph.n))
@@ -241,8 +242,9 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
                             a.connectivity))
         checks.append(Check(f.id, "traceable", f.traceable, a.traceable))
         checks.append(Check(f.id, "ml", f.ml, a.ml.value))
+        form[f.id] = (canonical_form(f.graph) if a.labeling is None
+                      else a.labeling.form)
 
-    form = {f.id: canonical_form(f.graph) for f in census_fixtures}
     g28 = substitute_p_star(complete_graph(4), [0, 1, 2])
     target = next(f for f in census_fixtures if f.family == "nontraceable_28_conn3")
     checks.append(Check(

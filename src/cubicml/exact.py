@@ -48,6 +48,7 @@ from .hamsearch import (
     has_ham_path,
     has_leg_cover,
 )
+from .isomorphism import CanonicalData
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,7 @@ class Analysis:
     ml: MlResult | GraphError | None
     mu: MuResult | GraphError | None
     seconds: dict[str, float]  # per phase, in the order they ran
+    labeling: CanonicalData | None = None  # from the traceability search
 
 
 # --- minimum leaf number ---------------------------------------------------
@@ -232,7 +234,9 @@ def _ladder(g: Graph, budget: SearchBudget, ml: bool, k: int,
 def analyze(g: Graph, budget: SearchBudget = UNLIMITED, ml: bool = False,
             mu: bool = False) -> Analysis:
     """Connectivity class and traceability of ``g``, and its minimum leaf
-    number and path cover number when asked (see the module docstring)."""
+    number and path cover number when asked (see the module docstring).
+    ``labeling`` is the ``CanonicalData`` that the traceability search
+    finished, or None."""
     seconds: dict[str, float] = {}
 
     def timed(phase: str, solve: Callable[..., Any], *args: Any) -> Any:
@@ -252,4 +256,5 @@ def analyze(g: Graph, budget: SearchBudget = UNLIMITED, ml: bool = False,
         lo = mu_res.value or mu_res.lower_bound
     ml_res = timed("ml", _ladder, g, budget, True, lo + 1, r) if ml else None
     traceable = None if r.status is Status.INDETERMINATE else r.is_yes
-    return Analysis(connectivity, traceable, ml_res, mu_res, seconds)
+    return Analysis(connectivity, traceable, ml_res, mu_res, seconds,
+                    r.labeling)

@@ -28,7 +28,9 @@ therefore the orbit-free driver's, reached in no more nodes.  The orbits
 come from ``isomorphism.canonical_steps``, stepped after each failed start
 by as many units (n per colour refinement) as that start's search took
 nodes.  So the labeling costs at most the search's nodes plus one
-refinement, and a search cut by its budget has not waited for it.
+refinement, and a search cut by its budget has not waited for it.  A
+labeling that finished comes back as ``SearchResult.labeling`` (else
+None), so a caller that needs the canonical form need not label again.
 
 Pruning at every node (Rubin, JACM 1974; Vandegriend & Culberson, JAIR
 1998):
@@ -130,7 +132,7 @@ through ``_checked``, so each YES witness is checked, kept or fresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Generator, Iterator
@@ -168,6 +170,9 @@ class SearchResult:
     status: Status
     witness: tuple | None = None  # a path, or the legs of a leg cover
     nodes: int = 0
+    # the labeling the anchored driver finished, else None; not compared
+    labeling: CanonicalData | None = field(default=None, compare=False,
+                                           repr=False)
 
     def __bool__(self) -> bool:
         return self.status is Status.YES
@@ -201,6 +206,7 @@ class _Engine:
         self.nodes = 0
         self.dead: dict[int, None] = {}  # keys of refuted states
         self.skip = self.dead  # the keys a search skips
+        self.labeling: CanonicalData | None = None  # once it has finished
 
     def anchored(self, choices: int,
                  labeling: Generator[int, None, CanonicalData]
@@ -233,6 +239,7 @@ class _Engine:
                     while credit > 0:
                         credit -= next(labeling)
                 except StopIteration as stop:
+                    self.labeling = stop.value
                     classes = _orbit_masks(stop.value.orbit)
                     self.skip = self.dead
             if classes is not None:
@@ -516,15 +523,15 @@ def _checked(g: Graph, kind: tuple, r: SearchResult) -> SearchResult:
 
 def _run(g: Graph, budget: SearchBudget,
          find: Callable[[_Engine], tuple | None]) -> SearchResult:
-    """``find`` on a fresh engine, as a result."""
+    """``find`` on a fresh engine, as a result, with the labeling the
+    engine finished."""
     engine = _Engine(g, budget)
     try:
         w = find(engine)
+        status = Status.NO if w is None else Status.YES
     except _BudgetExhausted:
-        return SearchResult(Status.INDETERMINATE, nodes=engine.nodes)
-    if w is None:
-        return SearchResult(Status.NO, nodes=engine.nodes)
-    return SearchResult(Status.YES, w, engine.nodes)
+        w, status = None, Status.INDETERMINATE
+    return SearchResult(status, w, engine.nodes, engine.labeling)
 
 
 def has_ham_path_from(g: Graph, start: int,
@@ -545,7 +552,8 @@ def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     adjacent to every vertex: from each start s in ascending order it
     accepts only an end t > s, which halves the refutation work without
     losing any witness, and it skips the starts in the orbit of a failed
-    one once the graph is labelled (see the module docstring).  A real hub
+    one once the graph is labelled (see the module docstring), and returns
+    that labeling as ``labeling`` when it finished.  A real hub
     would shift every mask by one bit, moving vertex 29 of a 30-vertex
     graph into a second CPython integer digit, and measured slower.
     """

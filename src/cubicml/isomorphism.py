@@ -18,8 +18,9 @@ by their old id and splits each by its sorted neighbour colours.
 
 The labeling also runs as a generator, ``canonical_steps``, which yields
 after each colour refinement; ``canonical_data`` drains it.  The
-hamiltonian path search advances it in step with its own nodes and uses
-the orbits only once it has finished (see ``hamsearch``).
+hamiltonian path search advances it in step with its own nodes, uses
+the orbits only once it has finished, and returns the finished
+``CanonicalData`` with its answer (see ``hamsearch``).
 """
 
 from __future__ import annotations

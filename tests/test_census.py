@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from cubicml.graph import Graph, write_graph6
+from cubicml import census
 from cubicml.hamsearch import SearchBudget
 from cubicml.census import (
     CensusRecord,
@@ -203,6 +204,31 @@ def test_verify_paper_artifacts_budget_cut_is_indeterminate():
     cut = [c for c in checks if c.name in ("traceable", "ml")]
     assert len(cut) == 2 * 19
     assert all(c.actual is None for c in cut)
+
+
+_FORM_CHECKS = ("matches substitution construction", "pairwise non-isomorphic",
+                "distinct from connectivity-3 graph")
+
+
+def test_fixture_forms_come_from_the_path_search(monkeypatch):
+    # an exhaustive refutation hands back its labeling, so only the
+    # construction and the four order-18 graphs are labelled again; a cut
+    # one does not, and each census fixture is then labelled afresh
+    calls = []
+    real = census.canonical_form
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(census, "canonical_form", counted)
+    for budget, labelled in ((SearchBudget(), 5),
+                             (SearchBudget(max_nodes=5), 5 + 19)):
+        calls.clear()
+        checks = verify_paper_artifacts(budget)
+        forms = [c for c in checks if c.name in _FORM_CHECKS]
+        assert len(forms) == 5 and all(c.ok for c in forms)
+        assert len(calls) == labelled
 
 
 def test_budget_cut_lemma_check_is_undecided():

@@ -3,11 +3,12 @@ of ``tests/jcell.py`` that is built on it.  Fixed-pair queries go through
 ``jcell.ham_path_between`` and are checked against the permutation
 oracle."""
 
+import dataclasses
 import os
 import random
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from unittest import mock
 
 import pytest
@@ -32,6 +33,7 @@ from cubicml.hamsearch import (
 )
 from cubicml.constructions import (
     cycle_of_edge_deleted_petersen, jcell_ring, named_graph)
+from cubicml.isomorphism import canonical_data
 from conftest import (
     bridged_prisms, gadget_caterpillar, prism, random_connected_graph,
     random_cubic_graph, random_graph, relabel, shuffled_copy)
@@ -560,7 +562,39 @@ def test_labeling_is_paid_for_by_search_nodes(monkeypatch):
             assert sum(units) <= r.nodes + g.n
 
 
+def test_result_carries_the_finished_labeling():
+    # each refutation labels its graph to skip symmetric starts, and hands
+    # that labeling back: it is what canonical_data computes afresh
+    for f in load_fixtures():
+        if not f.traceable:
+            r = has_ham_path(f.graph)
+            assert r.is_no and r.labeling == canonical_data(f.graph), f.id
+            # the labeling takes no part in equality, hashing or repr
+            bare = dataclasses.replace(r, labeling=None)
+            assert r == bare and hash(r) == hash(bare)
+            assert repr(r) == repr(bare)
+    # the labeling is stepped only after a failed start, so a path found
+    # from the first start, or a search cut at its root, carries none
+    yes = has_ham_path(prism(5))
+    assert yes.is_yes and yes.witness[0] == 0 and yes.labeling is None
+    g = load_fixtures("nontraceable_28_conn3")[0].graph
+    cut = has_ham_path(g, SearchBudget(max_nodes=5))
+    assert cut.status is Status.INDETERMINATE and cut.labeling is None
+
+
 # --- the dead-state table ----------------------------------------------------
+
+
+def test_leg_key_is_injective():
+    # every leg state of one query (fixed n and p) gets its own key, so a
+    # key without a1 or phase, or with a field too narrow, fails here
+    for n, p in product(range(1, 8), range(1, 4)):
+        w = n.bit_length()
+        lbits = (3 * p).bit_length() + 3 * w
+        states = list(product(range(1 << n), range(p), range(3), range(n),
+                              range(-1, n), range(n)))
+        keys = {hamsearch._leg_key(*state, w, lbits) for state in states}
+        assert len(keys) == len(states), (n, p)
 
 _TABLE_QUERIES = {
     "path": has_ham_path,
