@@ -37,7 +37,11 @@ tests in order of cost, and the first that decides it ends the work on it:
    of lower seed than n - 1 drops the child: the child's own growth would
    run this test first and emit nothing;
 5. cut mask: ``_deletable``, then a deletable vertex of lower seed rejects;
-6. colours: ``seeded_colors``, only when the least seed is tied;
+6. colours: only when the least seed is tied.  The first refinement
+   round orders tied vertices by their sorted neighbour seeds, and later
+   rounds keep the order of the cells they split, so k's list against the
+   least of its rivals' rejects k or accepts it alone; ``seeded_colors``
+   runs only on a tie there;
 7. labeling: ``canonical_data``, only when the least colour is tied.
 
 An accepted child keeps what its test computed, and its own children are
@@ -319,6 +323,16 @@ def _grow(g: Graph, nbrs: list[tuple[int, ...]], cuts: int,
             mins0 = [v for v in dels if cseeds[v] == seed]
             ccolors = cdata = None
             if len(mins0) > 1:
+                # the first refinement round orders equal seeds by their
+                # sorted neighbour seeds, and later rounds keep that order:
+                # a strict difference from the least rival (k is last in
+                # ``mins0``) decides k without refining
+                mine = sorted([cseeds[v] for v in combo])
+                rival = min(sorted([cseeds[w] for w in cnbrs[v]])
+                            for v in mins0[:-1])
+                if mine > rival:
+                    continue
+            if len(mins0) > 1 and mine == rival:
                 ccolors = _seeded_colors(child, cseeds, cnbrs)
                 minc = min(ccolors[v] for v in mins0)
                 if ccolors[k] != minc:

@@ -136,8 +136,11 @@ def seeded_colors(g: Graph, seeds: Sequence[int],
     Colour ids are normalised by sorted signature (colour, sorted
     neighbour colours), so they are invariant under vertex relabelling;
     refined ids also stay ordered consistently with the ids they split (a
-    signature leads with the previous colour).  ``nbrs`` lets hot callers
-    reuse precomputed neighbour lists.
+    signature leads with the previous colour).  So two vertices of equal
+    seed whose sorted lists of neighbour seeds differ get colours in the
+    order of those lists: the first round splits them so, and later
+    rounds keep the order of the cells they split.  ``nbrs`` lets hot
+    callers reuse precomputed neighbour lists.
 
     The first round signs every vertex; later rounds sign only the cells
     with a vertex next to a cell that split in the round before (see

@@ -172,6 +172,17 @@ def test_degree23_output_pinned():
     assert digests == _PINNED_DEGREE23
 
 
+@pytest.mark.slow
+def test_degree23_count_and_digest_pinned_n13():
+    # the largest order ``lemma-short`` scans
+    counts = []
+    digest = _graph6_digest(
+        lambda sink: counts.append(generate_degree23(13, sink)))
+    assert counts == [15_530]
+    assert digest == ("4f193d9368b53fa5a6eef320c572c7b41e12563c6a8672faa558"
+                      "83be16c7d342")
+
+
 def test_child_seeds_match_pair_seeds(monkeypatch):
     """Every child whose seeds the generator derives from its parent's gets
     the seeds ``pair_seeds`` computes from scratch, and so does every
@@ -226,20 +237,33 @@ def test_states_pairwise_non_isomorphic(monkeypatch):
     assert total == 2_076
 
 
-def test_generator_work_pinned(monkeypatch):
-    # the labelings and refinements generate_cubic(12) asks for, and the
-    # states it grows; before the lookahead and the lazy attachment orbits
-    # they were 1,318 / 2,540 / 2,301, and before the degree game
-    # (``_live``) 734 / 1,578 / 1,946
+def _generator_work(monkeypatch, n):
+    """Number of graphs ``generate_cubic(n)`` emits, and the labelings,
+    refinements and states it asks for on the way."""
     calls = dict.fromkeys(("canonical_data", "_seeded_colors", "_grow"), 0)
     for name in calls:
         def counted(*args, _real=getattr(generate, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(generate, name, counted)
-    assert generate_cubic(12) == 85
-    assert calls == {"canonical_data": 469, "_seeded_colors": 963,
-                     "_grow": 1_109}
+    return generate_cubic(n), calls
+
+
+def test_generator_work_pinned(monkeypatch):
+    # before the lookahead and the lazy attachment orbits they were
+    # 1,318 / 2,540 / 2,301, before the degree game (``_live``)
+    # 734 / 1,578 / 1,946, and before the first refinement round decided
+    # the colour test 469 / 963 / 1,109
+    assert _generator_work(monkeypatch, 12) == (85, {
+        "canonical_data": 469, "_seeded_colors": 600, "_grow": 1_109})
+
+
+@pytest.mark.slow
+def test_generator_work_pinned_n14(monkeypatch):
+    # 2,473 / 8,721 / 8,992 before the first refinement round decided the
+    # colour test
+    assert _generator_work(monkeypatch, 14) == (509, {
+        "canonical_data": 2_473, "_seeded_colors": 4_812, "_grow": 8_992})
 
 
 def test_inherited_cut_mask_matches_dfs(monkeypatch):

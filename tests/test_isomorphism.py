@@ -79,6 +79,49 @@ def test_color_refine_matches_full_rounds():
     assert top > 3
 
 
+def _bounded_degree_graph(rng: random.Random, n: int,
+                          max_degree: int) -> Graph:
+    """Random graph on ``n`` vertices: the pairs in random order, each
+    kept with probability 1/2 while both ends have degree below
+    ``max_degree``."""
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    degs = [0] * n
+    edges = []
+    for u, v in pairs:
+        if degs[u] < max_degree and degs[v] < max_degree and \
+                rng.random() < 0.5:
+            degs[u] += 1
+            degs[v] += 1
+            edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def test_seeded_colors_keep_the_first_round_order():
+    """Two vertices of equal seed whose sorted neighbour seeds differ get
+    refined colours in the order of those lists, from arbitrary int seeds
+    and from pair seeds: the generator decides its colour test from this
+    first round alone."""
+    rng = random.Random(29)
+    pairs = top = 0
+    for i in range(1_500):
+        g = _bounded_degree_graph(rng, rng.randint(2, 16), 4)
+        if i % 3:
+            values = [rng.randint(-10 ** 15, 10 ** 15) for _ in range(3)]
+            seeds = [rng.choice(values) for _ in range(g.n)]
+        else:
+            seeds = pair_seeds(g)
+        colors = seeded_colors(g, seeds)
+        sig = [sorted([seeds[w] for w in bits(a)]) for a in g.adj]
+        for u, v in combinations(range(g.n), 2):
+            if seeds[u] == seeds[v] and sig[u] != sig[v]:
+                pairs += 1
+                assert (colors[u] < colors[v]) == (sig[u] < sig[v])
+                assert colors[u] != colors[v]
+        top = max(top, *g.degrees())
+    assert pairs > 5_000 and top == 4
+
+
 def test_pair_seeds_separate_nonsimilar_vertices():
     # triangle with a pendant: all four vertices pairwise distinguishable
     # except the two triangle vertices not carrying the pendant
