@@ -15,17 +15,14 @@ from typing import Iterable
 
 from .graph import (
     Graph,
-    Graph6Error,
+    GraphError,
     bits,
     cut_vertices,
-    degree_profile,
     is_connected,
     is_cubic,
     mask_of,
     pieces,
     read_adjacency_file,
-    read_graph6_lines,
-    unparsable,
 )
 from .hamsearch import SearchBudget, Status, UNLIMITED, has_ham_path, has_ham_path_from
 from .exact import analyze
@@ -85,14 +82,15 @@ def lemma_short_hypotheses(g: Graph,
     v fails when fewer components of ``g`` - v hold a degree-2 vertex than
     hold a neighbour of v, which every component does.
     """
-    degs, _, deg2 = degree_profile(g)
+    degs = g.degrees()
     if g.n == 0 or any(d not in (2, 3) for d in degs):
         return False, "degrees not within {2,3}"
     if not is_connected(g):
         return False, "not connected"
-    if len(deg2) < 2:
+    if degs.count(2) < 2:
         return False, "fewer than two degree-2 vertices"
-    full, deg2_mask = g.full_mask(), mask_of(deg2)
+    full = g.full_mask()
+    deg2_mask = mask_of(v for v, d in enumerate(degs) if d == 2)
     for v in bits(cut_vertices(g.adj, full)):
         rest = full ^ 1 << v
         if pieces(g.adj, deg2_mask, rest) < pieces(g.adj, g.adj[v], rest):
@@ -128,10 +126,9 @@ def lemma_short_scan(graphs: Iterable[Graph],
         if not ok:
             result.hypotheses_failed += 1
             continue
-        _, _, deg2 = degree_profile(g)
         unresolved = False
         found = False
-        for v in sorted(deg2):
+        for v in (v for v, d in enumerate(g.degrees()) if d == 2):
             r = has_ham_path_from(g, v, budget)
             if r.is_yes:
                 found = True
@@ -167,25 +164,18 @@ def census_graph(g: Graph, budget: SearchBudget = UNLIMITED) -> tuple[str, int]:
     return kind[a.traceable], a.connectivity
 
 
-def nontraceable_census(
-    sources: Iterable[bytes | str], budget: SearchBudget = UNLIMITED,
-) -> tuple[list[CensusRecord], list[str]]:
+def nontraceable_census(graphs: Iterable[Graph],
+                        budget: SearchBudget = UNLIMITED) -> list[CensusRecord]:
     """Count non-traceable cubic graphs by order and connectivity class.
 
-    ``sources`` is an iterable of graph6 lines.  Non-cubic and malformed
-    entries produce per-line diagnostics instead of aborting the stream.
     Records are counts per order, so the census of a stream split into
-    parts is the sum of the parts' records.
+    parts is the sum of the parts' records.  A graph that is not cubic
+    raises ``GraphError``: the census never counts one silently.
     """
-    diagnostics: list[str] = []
     records: dict[int, CensusRecord] = {}
-    for lineno, g in read_graph6_lines(sources):
-        if isinstance(g, Graph6Error):
-            diagnostics.append(unparsable(lineno, g))
-            continue
+    for g in graphs:
         if not is_cubic(g):
-            diagnostics.append(f"line {lineno}: not cubic, skipped")
-            continue
+            raise GraphError(f"census counts cubic graphs only, got {g!r}")
         kind, conn = census_graph(g, budget)
         rec = records.setdefault(g.n, CensusRecord(g.n))
         rec.total += 1
@@ -196,7 +186,7 @@ def nontraceable_census(
                 rec.conn2 += 1
             elif conn == 3:
                 rec.conn3 += 1
-    return sorted(records.values(), key=lambda r: r.n), diagnostics
+    return sorted(records.values(), key=lambda r: r.n)
 
 
 # --- full published-artifact verification ---------------------------------
@@ -233,7 +223,9 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
 
     checks: list[Check] = []
     form: dict[str, bytes] = {}  # canonical forms by fixture id
-    census_fixtures = [f for f in load_fixtures() if f.family != "order18_no_deg2_start"]
+    fixtures = load_fixtures()
+    census_fixtures = [f for f in fixtures
+                       if f.family != "order18_no_deg2_start"]
     for f in census_fixtures:
         checks.append(Check(f.id, "order", f.order, f.graph.n))
         checks.append(Check(f.id, "cubic", True, is_cubic(f.graph)))
@@ -260,7 +252,8 @@ def verify_paper_artifacts(budget: SearchBudget = UNLIMITED) -> list[Check]:
         "nontraceable_28_conn2", "distinct from connectivity-3 graph", True,
         form[target.id] not in conn2))
 
-    lemma_fixtures = load_fixtures("order18_no_deg2_start")
+    lemma_fixtures = [f for f in fixtures
+                      if f.family == "order18_no_deg2_start"]
     scan = lemma_short_scan((f.graph for f in lemma_fixtures), budget=budget)
     checks.append(Check(
         "order18_no_deg2_start", "all are counterexamples",

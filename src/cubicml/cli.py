@@ -18,6 +18,7 @@ left undecided, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import BinaryIO, Iterator, TextIO
@@ -46,19 +47,15 @@ from .graph import (
     Graph,
     Graph6Error,
     GraphError,
-    read_graph6_lines,
-    unparsable,
+    is_cubic,
+    parse_graph6,
     write_graph6,
 )
-from .hamsearch import SearchBudget, Status, UNLIMITED
+from .hamsearch import SearchBudget, Status
 
 
 def _g6(g: Graph) -> str:
     return write_graph6(g).decode("ascii")
-
-
-def _budget(max_nodes: int | None) -> SearchBudget:
-    return UNLIMITED if max_nodes is None else SearchBudget(max_nodes)
 
 
 def _max_nodes(text: str) -> int:
@@ -84,18 +81,25 @@ def _open_stream(source: str) -> BinaryIO | TextIO:
 
 def _parsed(stream: BinaryIO | TextIO,
             bad: list[int]) -> Iterator[tuple[int, Graph]]:
-    """The well-formed graphs of ``stream`` with their line numbers; each
-    malformed line is reported on stderr and its number added to ``bad``."""
-    for lineno, g in read_graph6_lines(stream):
-        if isinstance(g, Graph6Error):
-            print(unparsable(lineno, g), file=sys.stderr)
+    """The well-formed graphs of ``stream`` with their line numbers, the
+    first line being 1; blank lines are skipped but counted.  Each malformed
+    line is reported on stderr and its number added to ``bad``, so one bad
+    line never ends the stream."""
+    for lineno, line in enumerate(stream, 1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            g = parse_graph6(stripped)
+        except Graph6Error as exc:
+            print(f"line {lineno}: unparsable graph6: {exc}", file=sys.stderr)
             bad.append(lineno)
-        else:
-            yield lineno, g
+            continue
+        yield lineno, g
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    budget = _budget(args.max_nodes)
+    budget = SearchBudget(args.max_nodes)
     bad: list[int] = []
     status = 0
     with _open_stream(args.input) as stream:
@@ -124,19 +128,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    budget = _budget(args.max_nodes)
+    bad: list[int] = []
+
+    def cubic(stream: BinaryIO | TextIO) -> Iterator[Graph]:
+        for lineno, g in _parsed(stream, bad):
+            if is_cubic(g):
+                yield g
+            else:
+                print(f"line {lineno}: not cubic, skipped", file=sys.stderr)
+                bad.append(lineno)
+
     with _open_stream(args.input) as stream:
-        records, diagnostics = nontraceable_census(stream, budget)
-    for msg in diagnostics:
-        print(msg, file=sys.stderr)
+        records = nontraceable_census(cubic(stream),
+                                      SearchBudget(args.max_nodes))
     for rec in records:
-        print(json.dumps({
-            "n": rec.n, "conn2": rec.conn2, "conn3": rec.conn3,
-            "total": rec.total, "indeterminate": rec.indeterminate,
-        }))
+        print(json.dumps(dataclasses.asdict(rec)))
     # a line left unclassified (malformed, not cubic, or indeterminate
     # under the budget) fails the run
-    return 1 if diagnostics or any(r.indeterminate for r in records) else 0
+    return 1 if bad or any(r.indeterminate for r in records) else 0
 
 
 def _generated_degree23(nmax: int) -> Iterator[Graph]:
@@ -147,7 +156,7 @@ def _generated_degree23(nmax: int) -> Iterator[Graph]:
 
 
 def _cmd_lemma_short(args: argparse.Namespace) -> int:
-    budget = _budget(args.max_nodes)
+    budget = SearchBudget(args.max_nodes)
     bad: list[int] = []
     if args.nmax is not None:
         # checked up front, not after the scan of every smaller order
@@ -249,7 +258,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
-    checks = verify_paper_artifacts(_budget(args.max_nodes))
+    checks = verify_paper_artifacts(SearchBudget(args.max_nodes))
     failed = 0
     for c in checks:
         if c.ok:

@@ -83,7 +83,12 @@ class CoverReport:
 
 def initial_vdp_cover(g: Graph) -> VdpCover:
     """Greedy path peeling: walk from the smallest uncovered vertex, always
-    to the smallest uncovered neighbour, extending both ends."""
+    to the smallest uncovered neighbour, extending both ends.
+
+    No two paths of the result join end to end: a finished path's ends
+    have no uncovered neighbour, and every later path is made of vertices
+    still uncovered then, so no later path touches them.
+    """
     if g.n == 0 or not is_connected(g):
         raise CoverError("path cover procedure needs a connected non-empty graph")
     covered = 0

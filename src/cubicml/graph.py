@@ -136,14 +136,6 @@ def is_connected(g: Graph) -> bool:
     return pieces(g.adj, g.full_mask(), g.full_mask()) <= 1
 
 
-def degree_profile(g: Graph) -> tuple[tuple[int, ...], bool, frozenset[int]]:
-    """Degree sequence, cubic flag, and the set of degree-2 vertices."""
-    degs = g.degrees()
-    is_cubic = g.n > 0 and all(d == 3 for d in degs)
-    deg2 = frozenset(v for v, d in enumerate(degs) if d == 2)
-    return degs, is_cubic, deg2
-
-
 def is_cubic(g: Graph) -> bool:
     return g.n > 0 and all(a.bit_count() == 3 for a in g.adj)
 
@@ -397,27 +389,3 @@ def write_graph6(g: Graph) -> bytes:
     flat += "0" * (-len(flat) % 6)
     return head + bytes([int(flat[i:i + 6], 2) + 63
                          for i in range(0, len(flat), 6)])
-
-
-def read_graph6_lines(lines: Iterable[bytes | str]
-                      ) -> Iterator[tuple[int, Graph | Graph6Error]]:
-    """Parse a stream of graph6 lines into (line number, graph) records.
-
-    Blank lines yield nothing but are counted: the first line is number 1.
-    A malformed line yields its ``Graph6Error`` in place of the graph, so
-    one bad line never ends the stream.
-    """
-    for lineno, line in enumerate(lines, 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            item: Graph | Graph6Error = parse_graph6(stripped)
-        except Graph6Error as exc:
-            item = exc
-        yield lineno, item
-
-
-def unparsable(lineno: int, exc: Graph6Error) -> str:
-    """The diagnostic every command gives for a malformed line."""
-    return f"line {lineno}: unparsable graph6: {exc}"

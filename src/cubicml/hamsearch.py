@@ -174,9 +174,6 @@ class SearchResult:
     labeling: CanonicalData | None = field(default=None, compare=False,
                                            repr=False)
 
-    def __bool__(self) -> bool:
-        return self.status is Status.YES
-
     @property
     def is_yes(self) -> bool:
         return self.status is Status.YES

@@ -31,7 +31,6 @@ from cubicml.graph import (
     _g6_n_and_body,
     bits,
     cut_vertices,
-    degree_profile,
     induced_subgraph,
     is_connected,
     mask_of,
@@ -340,7 +339,8 @@ def lemma_short_hypotheses_at_cut_vertices(
 ) -> tuple[bool | None, str | None]:
     """``census.lemma_short_hypotheses`` with the component clause tested
     only at the cut vertices one DFS finds."""
-    degs, _, deg2 = degree_profile(g)
+    degs = g.degrees()
+    deg2 = [v for v, d in enumerate(degs) if d == 2]
     if g.n == 0 or any(d not in (2, 3) for d in degs):
         return False, "degrees not within {2,3}"
     if not is_connected(g):

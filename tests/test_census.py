@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from cubicml.graph import Graph, write_graph6
+from cubicml.graph import Graph, GraphError
 from cubicml import census
 from cubicml.hamsearch import SearchBudget
 from cubicml.census import (
@@ -150,43 +150,34 @@ def test_census_graph_kinds():
 
 def test_nontraceable_census_on_fixtures():
     fixtures = [f for f in load_fixtures() if f.family != "order18_no_deg2_start"]
-    lines = [write_graph6(f.graph) for f in fixtures]
-    records, diagnostics = nontraceable_census(lines)
-    assert diagnostics == []
+    records = nontraceable_census(f.graph for f in fixtures)
     by_n = {r.n: r for r in records}
     assert by_n[28].conn2 == 9 and by_n[28].conn3 == 1 and by_n[28].total == 10
     assert by_n[30].conn3 == 9 and by_n[30].total == 9
     assert all(r.indeterminate == 0 for r in records)
 
 
-def test_nontraceable_census_diagnostics():
-    # one unparsable line, one non-cubic graph (K5), one blank line
-    records, diagnostics = nontraceable_census(["C~", "\x01bad", "D~{", ""])
-    assert len(diagnostics) == 2
-    # K4 is cubic: one record with zero non-traceable entries
-    assert records[0].n == 4 and records[0].total == 1
-    assert records[0].conn2 == 0 and records[0].conn3 == 0
+def test_nontraceable_census_rejects_non_cubic_graphs():
+    # K4 is counted; K5 stops the census rather than pass uncounted
+    k5 = Graph.from_edges(5, list(combinations(range(5), 2)))
+    assert nontraceable_census([k4()]) == [CensusRecord(4, total=1)]
+    with pytest.raises(GraphError, match="cubic"):
+        nontraceable_census([k4(), k5])
 
 
 def test_nontraceable_census_maps_cubic_graphs_in_stream_order():
     hard = [f.graph for f in load_fixtures("nontraceable_28_conn2")[:2]]
-    cubic = [k4(), hard[0], prism(3), hard[1]]
-    lines = [write_graph6(g) for g in cubic]
-    lines[1:1] = ["\x01bad"]
-    lines[3:3] = ["", "D~{"]
-    records, diagnostics = nontraceable_census(lines)
+    records = nontraceable_census([k4(), hard[0], prism(3), hard[1]])
     assert records == [CensusRecord(4, total=1), CensusRecord(6, total=1),
                        CensusRecord(28, conn2=2, total=2)]
-    assert diagnostics[0].startswith("line 2: unparsable graph6")
-    assert diagnostics[1:] == ["line 5: not cubic, skipped"]
 
 
 def test_in_repo_census_small_orders():
-    lines: list[bytes] = []
+    graphs: list[Graph] = []
     for n in (4, 6, 8, 10):
-        generate_cubic(n, sink=lambda g: lines.append(write_graph6(g)))
-    records, diagnostics = nontraceable_census(lines)
-    assert diagnostics == []
+        generate_cubic(n, sink=graphs.append)
+    records = nontraceable_census(graphs)
+    assert sum(r.total for r in records) == len(graphs)
     for r in records:
         assert r.conn2 == 0 and r.conn3 == 0 and r.indeterminate == 0
 

@@ -111,7 +111,7 @@ def test_analyze_fails_on_undecided_answers(tmp_path, capsys):
     assert (rec["traceable"], rec["ml"], rec["mu"]) == (None, None, None)
 
 
-def test_non_ascii_line_is_a_diagnostic(tmp_path, capsys):
+def test_non_ascii_line_is_a_diagnostic(tmp_path, capsys, monkeypatch):
     f = tmp_path / "bad.g6"
     f.write_bytes(b"C~\n\xc3\xa9\n")
     code, out, err = run(capsys, ["analyze", str(f)])
@@ -123,6 +123,29 @@ def test_non_ascii_line_is_a_diagnostic(tmp_path, capsys):
     assert code == 1
     assert err.startswith("line 2: unparsable graph6: non-ASCII")
     assert json.loads(out.strip())["total"] == 1
+    # a text stream meets the same offset: the line is read as UTF-8
+    monkeypatch.setattr("sys.stdin", io.StringIO("\u00e9\n"))
+    code, out, err = run(capsys, ["analyze", "-"])
+    assert (code, out) == (1, "")
+    assert err == ("line 1: unparsable graph6: non-ASCII byte 0xc3 "
+                   "(byte offset 0)\n")
+
+
+def test_stream_line_numbers_count_blank_lines(tmp_path, capsys,
+                                               monkeypatch):
+    # blank and whitespace-only lines yield nothing but keep their numbers,
+    # in a byte stream (a file) and a text stream (stdin) alike
+    text = "C~\n\n  \nD~{\n\x01bad\nC~\n"
+    f = tmp_path / "blanks.g6"
+    f.write_bytes(text.encode())
+    for argv in (["analyze", str(f)], ["analyze", "-"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["id"], r["n"]) for r in records] == [(1, 4), (4, 5), (6, 4)]
+        assert err.startswith("line 5: unparsable graph6: ")
+        assert len(err.splitlines()) == 1
 
 
 def test_census_reads_text_stdin(capsys, monkeypatch):
@@ -161,6 +184,25 @@ def test_census_reports_stream_line_numbers(tmp_path, capsys):
     assert code == 1
     assert err.startswith("line 4: unparsable graph6")
     assert json.loads(out.strip())["total"] == 3
+
+
+def test_census_reports_malformed_and_non_cubic_lines(capsys, monkeypatch):
+    # each skipped line gets one diagnostic, in stream order, and fails the
+    # run; the cubic graphs around them are all counted
+    hard = [f.graph for f in load_fixtures("nontraceable_28_conn2")[:2]]
+    lines = [_g6(complete_graph(4)), "\x01bad", _g6(hard[0]), "",
+             _g6(complete_graph(5)), _g6(prism(3)), _g6(hard[1])]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, err = run(capsys, ["census", "-"])
+    assert code == 1
+    first, second = err.splitlines()
+    assert first.startswith("line 2: unparsable graph6: character ")
+    assert second == "line 5: not cubic, skipped"
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"n": 4, "conn2": 0, "conn3": 0, "total": 1, "indeterminate": 0},
+        {"n": 6, "conn2": 0, "conn3": 0, "total": 1, "indeterminate": 0},
+        {"n": 28, "conn2": 2, "conn3": 0, "total": 2, "indeterminate": 0},
+    ]
 
 
 def test_census_fails_on_undecided_lines(tmp_path, capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubicml.cover as cover
 import oracles
@@ -13,6 +15,7 @@ from cubicml.cover import (
     CoverError,
     LongPathError,
     VdpCover,
+    _merge_once,
     cover_to_tree,
     initial_vdp_cover,
     optimize_cover,
@@ -20,7 +23,7 @@ from cubicml.cover import (
     run_cover_procedure,
 )
 from cubicml.exact import min_leaf_number, path_cover_number
-from conftest import random_cubic_graph
+from conftest import random_connected_graph, random_cubic_graph
 from oracles import (filtered_reroute, has_exchange_join,
                      retrying_cover_to_tree, tree_edges)
 
@@ -50,6 +53,16 @@ def test_initial_cover_is_valid():
         g = random_cubic_graph(rng, n)
         c = initial_vdp_cover(g)
         assert c.validate(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 30), st.floats(0.05, 0.6),
+       st.randoms(use_true_random=False))
+def test_initial_cover_leaves_nothing_to_merge(n, p, rng):
+    # a finished path's ends have no uncovered neighbour, so no later path
+    # touches them: the greedy peel leaves no end-to-end join
+    g = random_connected_graph(rng, n, p)
+    assert not _merge_once(g, list(initial_vdp_cover(g).paths))
 
 
 def test_initial_cover_rejects_disconnected():

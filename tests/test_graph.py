@@ -13,7 +13,6 @@ from cubicml.graph import (
     GraphError,
     bits,
     cut_vertices,
-    degree_profile,
     induced_subgraph,
     is_connected,
     is_cubic,
@@ -21,7 +20,6 @@ from cubicml.graph import (
     parse_graph6,
     pieces,
     read_adjacency_file,
-    read_graph6_lines,
     vertex_connectivity_capped,
     write_graph6,
 )
@@ -105,10 +103,8 @@ def test_pieces_matches_oracle_components():
 
 
 def test_degree_profile_and_cubic():
-    degs, cubic, deg2 = degree_profile(k4())
-    assert degs == (3, 3, 3, 3) and cubic and deg2 == frozenset()
-    degs, cubic, deg2 = degree_profile(cycle(4))
-    assert not cubic and deg2 == frozenset({0, 1, 2, 3})
+    assert k4().degrees() == (3, 3, 3, 3) and is_cubic(k4())
+    assert cycle(4).degrees() == (2, 2, 2, 2) and not is_cubic(cycle(4))
     assert is_cubic(k4()) and not is_cubic(cycle(5))
     assert not is_cubic(Graph.from_edges(0, []))
 
@@ -314,16 +310,6 @@ def test_graph6_rejects_non_ascii_with_offset():
         with pytest.raises(Graph6Error) as exc:
             parse_graph6(text)
         assert exc.value.offset == 1 and "non-ASCII" in str(exc.value)
-    [(lineno, err)] = read_graph6_lines(["\u00e9"])
-    assert lineno == 1 and isinstance(err, Graph6Error) and err.offset == 0
-
-
-def test_read_graph6_lines_skips_blanks():
-    lines = ["C~", "", "  ", b"D~{\n", "\x01bad", b"C~"]
-    records = list(read_graph6_lines(lines))
-    assert [lineno for lineno, _ in records] == [1, 4, 5, 6]
-    assert [records[i][1].n for i in (0, 1, 3)] == [4, 5, 4]
-    assert isinstance(records[2][1], Graph6Error)
 
 
 @settings(max_examples=60, deadline=None)
