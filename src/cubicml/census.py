@@ -21,8 +21,8 @@ from .graph import (
     is_connected,
     is_cubic,
     mask_of,
+    parse_graph6,
     pieces,
-    read_adjacency_file,
 )
 from .hamsearch import SearchBudget, Status, UNLIMITED, has_ham_path, has_ham_path_from
 from .exact import analyze
@@ -41,7 +41,7 @@ class Fixture:
 
 
 _FAMILIES = (
-    # (family, file stem, count, order, connectivity, traceable, ml)
+    # (family, id stem, count, order, connectivity, traceable, ml)
     ("nontraceable_28_conn2", "nontraceable_28_c2", 9, 28, 2, False, 3),
     ("nontraceable_28_conn3", "nontraceable_28_c3", 1, 28, 3, False, 3),
     ("nontraceable_30_conn3", "nontraceable_30_c3", 9, 30, 3, False, 3),
@@ -50,17 +50,20 @@ _FAMILIES = (
 
 
 def load_fixtures(family: str | None = None) -> list[Fixture]:
-    """Load embedded fixtures, optionally restricted to one family."""
+    """Load embedded fixtures, optionally restricted to one family: one
+    graph6 line each in ``data/fixtures.g6``, in ``_FAMILIES`` order."""
+    lines = resources.files("cubicml").joinpath(
+        "data/fixtures.g6").read_bytes().splitlines()
+    if len(lines) != sum(row[2] for row in _FAMILIES):
+        raise GraphError(f"fixtures.g6 has {len(lines)} lines")
     out: list[Fixture] = []
-    base = resources.files("cubicml").joinpath("data/fixtures")
     for fam, stem, count, order, conn, traceable, ml in _FAMILIES:
-        if family is not None and fam != family:
-            continue
-        for i in range(1, count + 1):
-            fid = stem if count == 1 else f"{stem}_{i:02d}"
-            with resources.as_file(base.joinpath(f"{fid}.txt")) as path:
-                g = read_adjacency_file(path)
-            out.append(Fixture(fid, fam, g, order, conn, traceable, ml))
+        part, lines = lines[:count], lines[count:]
+        if family in (None, fam):
+            for i, line in enumerate(part, start=1):
+                fid = stem if count == 1 else f"{stem}_{i:02d}"
+                out.append(Fixture(fid, fam, parse_graph6(line), order,
+                                   conn, traceable, ml))
     if not out:
         raise ValueError(f"unknown fixture family {family!r}")
     return out

@@ -1,6 +1,7 @@
 """Deterministic builders for the sharpness-example graph families.
 
-All gadgets carry a fixed labeling committed as data files, so every
+All gadgets carry a fixed labeling, committed as the graph6 lines of
+``data/gadgets.g6`` in the order of ``GADGET_NAMES``, so every
 builder is byte-for-byte reproducible: same parameters, same edge list,
 same graph6 line.  Attach vertices are the vertices whose degree falls
 short of 3, listed in ascending index.
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .graph import Graph, GraphError, is_cubic, read_adjacency_file
+from .graph import Graph, GraphError, is_cubic, parse_graph6
 
 GADGET_NAMES = (
     "petersen_minus_edge",
@@ -61,13 +62,13 @@ class NamedGadget:
 
 
 def named_graph(name: str) -> NamedGadget:
-    """Load a gadget by name from the committed labeling files."""
+    """Load a gadget by name from its line of ``data/gadgets.g6``."""
     if name not in GADGET_NAMES:
         raise GraphError(
             f"unknown gadget {name!r}; choose from {', '.join(GADGET_NAMES)}")
-    ref = resources.files("cubicml").joinpath(f"data/gadgets/{name}.txt")
-    with resources.as_file(ref) as path:
-        g = read_adjacency_file(path)
+    lines = resources.files("cubicml").joinpath(
+        "data/gadgets.g6").read_bytes().splitlines()
+    g = parse_graph6(lines[GADGET_NAMES.index(name)])
     attach = tuple(v for v in range(g.n) if g.degree(v) < 3)
     return NamedGadget(name, g, attach)
 

@@ -179,13 +179,8 @@ def optimize_cover(g: Graph, c: VdpCover,
         status, exact_paths = has_path_cover_le_k(g, exact_mu, budget)
         if status is Status.YES and exact_paths is not None:
             paths = list(exact_paths)
-    changed = True
-    while changed:
-        changed = False
-        while _merge_once(g, paths):
-            changed = True
-        if _exchange_once(g, paths):
-            changed = True
+    while _merge_once(g, paths) or _exchange_once(g, paths):
+        pass
     out = VdpCover(tuple(paths))
     require_witness(out.validate(g), "optimized path cover")
     return out

@@ -13,10 +13,9 @@ from cubicml.graph import Graph, is_connected
 
 @pytest.fixture(autouse=True)
 def fresh_search_caches():
-    """Start every test with empty ``has_ham_path`` and ``has_leg_cover``
-    caches, so that no answer kept by an earlier test is served."""
+    """Start every test with an empty ``has_ham_path`` cache, so that no
+    answer kept by an earlier test is served."""
     hamsearch._ham_path.cache_clear()
-    hamsearch._legs.cache_clear()
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

@@ -235,11 +235,10 @@ class TableFreeEngine(_Engine):
 
 def table_free(query: Callable[..., SearchResult], *args) -> SearchResult:
     """``query(*args)`` for a ``hamsearch`` query, searched afresh (past
-    the caches) on a ``TableFreeEngine``."""
+    the path cache) on a ``TableFreeEngine``."""
     with mock.patch.object(hamsearch, "_Engine", TableFreeEngine), \
             mock.patch.object(hamsearch, "_ham_path",
-                              hamsearch._ham_path.__wrapped__), \
-            mock.patch.object(hamsearch, "_legs", hamsearch._legs.__wrapped__):
+                              hamsearch._ham_path.__wrapped__):
         return query(*args)
 
 

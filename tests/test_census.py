@@ -1,11 +1,13 @@
 """Embedded fixtures, the degree-2-start lemma machinery, and the census."""
 
+import hashlib
 import random
+from importlib import resources
 from itertools import combinations
 
 import pytest
 
-from cubicml.graph import Graph, GraphError
+from cubicml.graph import Graph, GraphError, write_graph6
 from cubicml import census
 from cubicml.hamsearch import SearchBudget
 from cubicml.census import (
@@ -48,6 +50,32 @@ def test_load_fixtures_families_and_counts():
     assert len(load_fixtures("nontraceable_30_conn3")) == 9
     with pytest.raises(ValueError):
         load_fixtures("no_such_family")
+
+
+def test_fixture_labellings_pinned():
+    # every fixture keeps its vertex numbering: a relabelled one would
+    # change the search trees that verify-paper and the node pins rely on
+    data = b"".join(write_graph6(f.graph) + b"\n" for f in load_fixtures())
+    assert hashlib.sha256(data).hexdigest() == (
+        "41763daacb8567a8d61383286a0f4d8a8be5688d0da2a2395224df70b571f0c7")
+
+
+@pytest.mark.parametrize("edit", ["drop last", "add one"])
+def test_load_fixtures_rejects_a_wrong_line_count(monkeypatch, edit):
+    data = resources.files("cubicml").joinpath("data/fixtures.g6").read_bytes()
+    lines = data.splitlines(keepends=True)
+    lines = lines[:-1] if edit == "drop last" else lines + lines[:1]
+
+    class Data:
+        def joinpath(self, name):
+            return self
+
+        def read_bytes(self):
+            return b"".join(lines)
+
+    monkeypatch.setattr(census.resources, "files", lambda package: Data())
+    with pytest.raises(GraphError, match=f"has {len(lines)} lines"):
+        load_fixtures()
 
 
 def test_lemma_hypotheses_examples():

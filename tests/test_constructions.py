@@ -1,5 +1,7 @@
 """Gadget loading and the deterministic construction families."""
 
+import hashlib
+
 import pytest
 
 from cubicml.graph import (
@@ -58,6 +60,15 @@ def test_named_gadgets_load_and_have_expected_shape():
         assert is_connected(g)
         # attach vertices are exactly those of degree below 3
         assert all(g.degree(v) < 3 for v in gadget.attach)
+
+
+def test_gadget_labellings_pinned():
+    # every construction pastes the gadgets as numbered, so a relabelled
+    # gadget would change the output of construct
+    data = b"".join(write_graph6(named_graph(name).graph) + b"\n"
+                    for name in GADGET_NAMES)
+    assert hashlib.sha256(data).hexdigest() == (
+        "37c956eb434e1a97436d0638392e83b3431bdc0af518550d27051a0774bf3d34")
 
 
 def test_named_graph_unknown():

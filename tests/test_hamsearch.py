@@ -419,14 +419,13 @@ def test_long_prism_needs_no_recursion():
     assert check_path_witness(g, r.witness)
 
 
-# --- the caches under has_ham_path and has_leg_cover ----------------------
+# --- the cache under has_ham_path -----------------------------------------
 
 
 def _fresh(query, g, budget):
-    """``query(g, budget)`` searched afresh, past the caches."""
+    """``query(g, budget)`` searched afresh, past the path cache."""
     with mock.patch.object(hamsearch, "_ham_path",
-                           hamsearch._ham_path.__wrapped__), \
-            mock.patch.object(hamsearch, "_legs", hamsearch._legs.__wrapped__):
+                           hamsearch._ham_path.__wrapped__):
         return query(g, budget)
 
 
@@ -595,6 +594,22 @@ def test_leg_key_is_injective():
                               range(-1, n), range(n)))
         keys = {hamsearch._leg_key(*state, w, lbits) for state in states}
         assert len(keys) == len(states), (n, p)
+
+
+@pytest.mark.parametrize("attached", [False, True])
+@pytest.mark.parametrize("line, status, nodes", [
+    ("Mk?A_OcH??_gc_?X?", Status.NO, 87),  # a key without a1 reads 73
+    ("N?`caD?CG@d@E?@?s?G", Status.YES, 23),  # a key without phase reads 21
+])
+def test_leg_key_fields_are_decisive(monkeypatch, attached, line, status,
+                                     nodes):
+    # with every refuted state kept, a key that merges states differing
+    # only in a1 or only in phase skips subtrees it never searched; status
+    # and witness survive, so only the node count shows it
+    monkeypatch.setattr(hamsearch, "_DEAD_MIN", 0)
+    r = has_leg_cover(parse_graph6(line), 1, attached)
+    assert (r.status, r.nodes) == (status, nodes)
+
 
 _TABLE_QUERIES = {
     "path": has_ham_path,
