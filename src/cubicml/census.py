@@ -18,7 +18,6 @@ from .graph import (
     GraphError,
     bits,
     cut_vertices,
-    is_connected,
     is_cubic,
     mask_of,
     parse_graph6,
@@ -88,7 +87,7 @@ def lemma_short_hypotheses(g: Graph,
     degs = g.degrees()
     if g.n == 0 or any(d not in (2, 3) for d in degs):
         return False, "degrees not within {2,3}"
-    if not is_connected(g):
+    if not g.connected:
         return False, "not connected"
     if degs.count(2) < 2:
         return False, "fewer than two degree-2 vertices"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, GraphError, induced_subgraph, is_connected, require_witness
+from .graph import Graph, GraphError, induced_subgraph, require_witness
 from .exact import SpanningTree, has_path_cover_le_k
 from .hamsearch import (SearchBudget, Status, UNLIMITED, check_legs_witness,
                         has_ham_path_from)
@@ -89,7 +89,7 @@ def initial_vdp_cover(g: Graph) -> VdpCover:
     have no uncovered neighbour, and every later path is made of vertices
     still uncovered then, so no later path touches them.
     """
-    if g.n == 0 or not is_connected(g):
+    if g.n == 0 or not g.connected:
         raise CoverError("path cover procedure needs a connected non-empty graph")
     covered = 0
     paths: list[tuple[int, ...]] = []

@@ -34,7 +34,6 @@ from typing import Any, Callable
 from .graph import (
     Graph,
     GraphError,
-    is_connected,
     mask_of,
     pieces,
     require_witness,
@@ -161,7 +160,7 @@ def has_tree_le_k_leaves(g: Graph, k: int,
         raise GraphError("a tree on >= 2 vertices has at least 2 leaves")
     if g.n == 0:
         raise GraphError("empty graph has no spanning tree")
-    if not is_connected(g):
+    if not g.connected:
         return Status.NO, None
     return _tree_search_le_k(g, k, budget)
 
@@ -208,12 +207,12 @@ def _ladder(g: Graph, budget: SearchBudget, ml: bool, k: int,
             r: SearchResult | None = None) -> Any:
     """The ml ladder of ``g`` (else the mu ladder) from rung k.  ``r``, a
     ``has_ham_path`` answer, decides the bottom rung (ml <= 2, mu <= 1)."""
-    if ml and (g.n == 0 or not is_connected(g)):
+    if ml and (g.n == 0 or not g.connected):
         raise GraphError("minimum leaf number needs a connected non-empty graph")
     if g.n == 0:
         raise GraphError("path cover of the empty graph is undefined")
     result, bottom = (MlResult, 2) if ml else (MuResult, 1)
-    if not ml:  # one path per component at least
+    if not ml and not g.connected:  # one path per component at least
         k = max(k, pieces(g.adj, g.full_mask(), g.full_mask()))
     while True:
         if k > bottom or r is None:

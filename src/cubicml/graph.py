@@ -3,13 +3,15 @@
 Vertices are integers 0..n-1.  Each vertex's neighbourhood is stored as a
 Python int used as a bitmask, which makes the set operations in the search
 hot loops (intersection, popcount, component spreading) cheap.  ``pieces``
-is the one connectivity helper; ``cut_vertices`` and ``_edge_cuts_capped``
-stay apart as linear-time answers to other questions.
+is the one connectivity helper, and ``Graph.connected`` is computed from it
+at most once per graph; ``cut_vertices`` and ``_edge_cuts_capped`` stay
+apart as linear-time answers to other questions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -104,6 +106,10 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def connected(self) -> bool:  # kept, not a field: ==, hash, repr skip it
+        return pieces(self.adj, self.full_mask(), self.full_mask()) <= 1
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.edge_count})"
 
@@ -133,7 +139,7 @@ def pieces(adj: Sequence[int], seeds: int, allowed: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    return pieces(g.adj, g.full_mask(), g.full_mask()) <= 1
+    return g.connected
 
 
 def is_cubic(g: Graph) -> bool:
@@ -208,9 +214,7 @@ def vertex_connectivity_capped(g: Graph, cap: int) -> int:
     """
     if cap not in (1, 2, 3):
         raise GraphError(f"cap must be 1, 2 or 3, got {cap}")
-    if not is_connected(g):
-        return 0
-    if g.n <= 1:
+    if g.n <= 1 or not g.connected:
         return 0
     if cap == 1:
         return 1
@@ -246,22 +250,24 @@ def _edge_cuts_capped(g: Graph, cap: int) -> int:
     Removing two edges disconnects G only if they contain a bridge or are a
     cut δ(X), so the labels decide λ ≤ 1, λ = 2 and λ ≥ 3 exactly.
     """
-    parent = [-1] * g.n
-    parent[0] = 0
-    order = [0]
+    parent, kids = [0] * g.n, [0] * g.n  # kids: tree children, as masks
+    order, found = [0], 1
     for v in order:  # breadth-first: the tree needs no recursion
-        for w in bits(g.adj[v]):
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
-    label = [0] * g.n  # own non-tree bits, then the subtree XOR
-    bit = 1
-    for u in range(g.n):
-        for v in bits(g.adj[u]):
-            if v < u and parent[u] != v and parent[v] != u:
-                label[u] ^= bit
-                label[v] ^= bit
-                bit <<= 1
+        m = kids[v] = g.adj[v] & ~found
+        found |= m
+        while m:
+            w = (m & -m).bit_length() - 1
+            parent[w] = v
+            order.append(w)
+            m &= m - 1
+    label, bit = [0] * g.n, 1  # own non-tree bits, then the subtree XOR
+    for u in range(g.n):  # non-tree edges uv, v < u, in ascending order
+        m = g.adj[u] & ((1 << u) - 1) & ~(kids[u] | 1 << parent[u])
+        while m:
+            label[u] ^= bit
+            label[(m & -m).bit_length() - 1] ^= bit
+            bit <<= 1
+            m &= m - 1
     seen = set()
     two_cut = False
     for v in reversed(order[1:]):  # children before parents
@@ -356,22 +362,27 @@ def parse_graph6(text: bytes | str) -> Graph:
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
-        raise Graph6Error(
-            f"expected {need} body bytes for n={n}, got {len(body)}", base + len(body)
-        )
+        raise Graph6Error(f"expected {need} body bytes for n={n}, "
+                          f"got {len(body)}", base + len(body))
     if body and not 63 <= min(body) <= max(body) <= 126:
         i = next(i for i, byte in enumerate(body) if not 63 <= byte <= 126)
         raise Graph6Error(f"character {body[i]!r} out of graph6 range", base + i)
-    # Column v of the upper triangle is bits [v(v-1)/2, v(v+1)/2): the
-    # lower neighbours u < v, u = 0 first.  Padding sits in the last byte.
-    flat = "".join([format(byte - 63, "06b") for byte in body])
-    if "1" in flat[nbits:]:
+    if body and (body[-1] - 63) & ((1 << -nbits % 6) - 1):
         raise Graph6Error("nonzero padding bits", base + len(body) - 1)
-    adj = [int(flat[v * (v - 1) // 2:v * (v + 1) // 2][::-1] or "0", 2)
-           for v in range(n)]
-    for v in range(n):
-        for u in bits(adj[v]):  # only the lower neighbours are set so far
+    # bit k is bit 5 - k % 6 of byte k // 6; column v holds bits [top - v, top)
+    adj = [0] * n
+    v = top = 1
+    for i, byte in enumerate(body):
+        c = byte - 63
+        while c:  # the set bits, lowest stream index first
+            k = 6 * i + 6 - c.bit_length()
+            c ^= 32 >> k - 6 * i
+            while k >= top:
+                v += 1
+                top += v
+            u = k - top + v  # u < v, the column's lower end first
             adj[u] |= 1 << v
+            adj[v] |= 1 << u
     return Graph(n, tuple(adj))
 
 

@@ -146,7 +146,6 @@ from .graph import (
     Graph,
     GraphError,
     bits,
-    is_connected,
     mask_of,
     pieces,
     require_witness,
@@ -492,18 +491,20 @@ def _split_trail(trail: list[int]) -> tuple[tuple[int, ...], ...]:
 
 def check_legs_witness(g: Graph, legs: tuple[tuple[int, ...], ...], p: int,
                        attached: bool) -> bool:
-    """Mechanical validation of a leg cover: at most ``p`` paths of ``g``
-    that partition V, each attached one starting next to an earlier leg."""
-    if len(legs) > p or sorted(v for leg in legs for v in leg) != list(range(g.n)):
-        return False
+    """One pass of mask operations: are ``legs`` at most ``p`` non-empty
+    paths of ``g`` partitioning V, each attached one next to an earlier leg?"""
+    adj, n = g.adj, g.n
     seen = 0
     for leg in legs:
-        if not all(g.has_edge(a, b) for a, b in zip(leg, leg[1:])):
+        before, step = seen, -1  # any vertex may start a leg
+        for v in leg:
+            if not 0 <= v < n or seen >> v & 1 or not step >> v & 1:
+                return False
+            seen |= 1 << v
+            step = adj[v]
+        if not leg or attached and before and not adj[leg[0]] & before:
             return False
-        if attached and seen and not g.adj[leg[0]] & seen:
-            return False
-        seen |= mask_of(leg)
-    return True
+    return seen == g.full_mask() and len(legs) <= p
 
 
 def _checked(g: Graph, kind: tuple, r: SearchResult) -> SearchResult:
@@ -541,7 +542,7 @@ def has_ham_path_from(g: Graph, start: int,
     """Hamiltonian path with a prescribed first vertex."""
     if not (0 <= start < g.n):
         raise GraphError(f"start vertex {start} out of range")
-    if not is_connected(g):
+    if not g.connected:
         return SearchResult(Status.NO)
     return _checked(g, ("from", start),
                     _run(g, budget, lambda e: e.search([start], -1)))
@@ -564,7 +565,7 @@ def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
 
 @lru_cache(maxsize=16)
 def _ham_path(g: Graph, budget: SearchBudget) -> SearchResult:
-    if g.n == 0 or not is_connected(g):
+    if g.n == 0 or not g.connected:
         return SearchResult(Status.NO)
     if g.n <= 2:  # connected, so listed in order
         return SearchResult(Status.YES, tuple(range(g.n)))
@@ -579,7 +580,7 @@ def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     """
     if g.n < 3:
         raise GraphError("hamiltonian cycle needs at least 3 vertices")
-    if not is_connected(g):
+    if not g.connected:
         return SearchResult(Status.NO)
     return _checked(g, ("cycle",),
                     _run(g, budget, lambda e: e.search([0], g.adj[0])))

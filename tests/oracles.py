@@ -267,6 +267,24 @@ def ham_path_without_orbits(g: Graph,
         return _checked(g, ("path",), _run(g, budget, find))
 
 
+def sorted_legs_witness(g: Graph, legs: tuple[tuple[int, ...], ...], p: int,
+                        attached: bool) -> bool:
+    """``hamsearch.check_legs_witness`` as a sorted list and one edge test
+    per step: at most ``p`` paths of ``g`` that partition V, each attached
+    one starting next to an earlier leg.  An empty leg is outside its
+    domain (it passes, or raises ``IndexError`` under the attached rule)."""
+    if len(legs) > p or sorted(v for leg in legs for v in leg) != list(range(g.n)):
+        return False
+    seen = 0
+    for leg in legs:
+        if not all(g.has_edge(a, b) for a, b in zip(leg, leg[1:])):
+            return False
+        if attached and seen and not g.adj[leg[0]] & seen:
+            return False
+        seen |= mask_of(leg)
+    return True
+
+
 def bitwise_parse_graph6(text: bytes | str) -> Graph:
     """``graph.parse_graph6`` as first written: one bit at a time over the
     column-major upper triangle, each bit's column found by a square root,

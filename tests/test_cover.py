@@ -32,6 +32,17 @@ def cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def test_empty_leg_is_not_a_cover():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    c = VdpCover(((0, 1, 2), ()))
+    assert not c.validate(g)
+    # cover_to_tree once validated it and then raised IndexError
+    with pytest.raises(CoverError):
+        cover_to_tree(g, c)
+    with pytest.raises(CoverError):
+        optimize_cover(g, c)
+
+
 def test_vdp_cover_counts():
     c = VdpCover((tuple(range(20)), (20, 21)))
     assert c.long_count == 1 and c.short_count == 1

@@ -1,5 +1,6 @@
 """Exact spanning-tree counting/enumeration, minimum leaf number, path covers."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -387,3 +388,30 @@ def test_ml_ladder_starts_above_mu(monkeypatch):
     a = analyze(gadget_caterpillar(5), ml=True, mu=True)
     assert (a.traceable, a.mu.value, a.ml.value) == (False, 3, 5)
     assert asked == [4, 5]
+
+
+def _answers_digest() -> str:
+    """sha256 over each graph's connectivity and witnesses, for the 85
+    cubic graphs of ``generate_cubic(12)`` and the 23 fixtures."""
+    from cubicml.generate import generate_cubic
+    from cubicml.graph import vertex_connectivity_capped
+
+    graphs: list[Graph] = []
+    generate_cubic(12, sink=graphs.append)
+    graphs += [f.graph for f in load_fixtures()]
+    lines = []
+    for g in graphs:
+        mu = path_cover_number(g)
+        lines.append(repr((
+            is_connected(g), vertex_connectivity_capped(g, 3),
+            has_ham_path(g).witness, min_leaf_number(g).tree.parent,
+            mu.paths, cover.run_cover_procedure(g, mu.value).tree.parent)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_answers_pinned():
+    # witness identity, which the CLI records do not print: a change in
+    # child order, connectivity or witness checks that picked another
+    # witness would change the digest
+    assert _answers_digest() == (
+        "0cc532859386fd1b0b6d710248470cdc515774f60c6c926c0d468fa0238f6a57")

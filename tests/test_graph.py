@@ -1,5 +1,8 @@
 """Graph core: construction, predicates, connectivity, graph6 round trips."""
 
+import dataclasses
+import inspect
+import pickle
 import random
 from itertools import combinations
 
@@ -84,6 +87,31 @@ def test_connectivity_predicates():
     assert pieces(two.adj, 0b0011, 0b1111) == 1
     assert pieces(path(5).adj, 0b11111, 0b10101) == 3
     assert pieces(path(5).adj, 0b10001, 0b11111) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.floats(0.05, 0.6),
+       st.randoms(use_true_random=False))
+def test_connected_matches_pieces(n, p, rng):
+    g = random_graph(rng, n, p)
+    assert g.connected is (pieces(g.adj, g.full_mask(), g.full_mask()) <= 1)
+    assert is_connected(g) is g.connected
+
+
+def test_connected_is_kept_but_not_a_field():
+    assert str(inspect.signature(is_connected)) == "(g: 'Graph') -> 'bool'"
+    assert "connected" not in {f.name for f in dataclasses.fields(Graph)}
+    two = Graph.from_edges(4, [(0, 1), (2, 3)])
+    for g, want in ((Graph.from_edges(0, []), True),
+                    (Graph.from_edges(1, []), True), (k4(), True),
+                    (two, False)):
+        fresh = Graph(g.n, g.adj)
+        assert g.connected is want and "connected" in vars(g)
+        assert g == fresh and hash(g) == hash(fresh)
+        assert repr(g) == repr(fresh)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == fresh and back.connected is want
+        assert pickle.loads(pickle.dumps(fresh)) == g
 
 
 def test_pieces_matches_oracle_components():

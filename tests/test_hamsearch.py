@@ -25,6 +25,7 @@ from cubicml.hamsearch import (
     UNLIMITED,
     SearchBudget,
     Status,
+    check_legs_witness,
     check_path_witness,
     has_ham_cycle,
     has_ham_path,
@@ -38,7 +39,7 @@ from conftest import (
     bridged_prisms, gadget_caterpillar, prism, random_connected_graph,
     random_cubic_graph, random_graph, relabel, shuffled_copy)
 from jcell import ham_path_between, is_jcell, two_path_pairing
-from oracles import ham_path_without_orbits, table_free
+from oracles import ham_path_without_orbits, sorted_legs_witness, table_free
 
 
 def cycle(n: int) -> Graph:
@@ -87,6 +88,14 @@ def test_witness_checker():
     assert not check_path_witness(g, (0, 2, 1, 3))
     # a correct path that misses a vertex is not hamiltonian
     assert not check_path_witness(Graph.from_edges(3, [(0, 1), (1, 2)]), (0, 1))
+
+
+def test_witness_checker_rejects_an_empty_leg():
+    # the sorted-list checker raised IndexError under the attached rule
+    for attached in (False, True):
+        assert not check_legs_witness(path_graph(3), ((0, 1, 2), ()), 2,
+                                      attached)
+    assert not check_legs_witness(path_graph(3), ((), (0, 1, 2)), 2, False)
 
 
 def test_path_and_cycle_basics():
@@ -409,6 +418,53 @@ def test_verdict_and_witness_survive_relabeling(data, g):
             assert check_path_witness(h, w)
             if query is has_ham_cycle:
                 assert h.has_edge(w[-1], w[0])
+
+
+_CORRUPTIONS = ("none", "repeat a vertex", "drop a vertex", "add vertex n",
+                "add vertex -1", "swap two vertices", "p one too small",
+                "reverse a later leg")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), g=small_graphs(), p=st.integers(1, 3),
+       attached=st.booleans(), corruption=st.sampled_from(_CORRUPTIONS))
+def test_witness_checker_matches_sorted_oracle(data, g, p, attached,
+                                               corruption):
+    # a witness of a real query, then at most one corruption; a swap puts a
+    # step on a non-edge unless the two vertices' neighbours allow it, and
+    # reversing a later leg may start it away from every earlier leg
+    r = has_ham_path(g) if p == 1 else has_leg_cover(g, p, attached)
+    if r.is_yes:
+        legs = [list(r.witness)] if p == 1 else [list(leg) for leg in r.witness]
+    else:  # one leg per vertex is a free cover
+        legs, p = [[v] for v in range(g.n)], g.n
+    pick = lambda seq: data.draw(st.sampled_from(seq))  # noqa: E731
+    flat = [(i, j) for i, leg in enumerate(legs) for j in range(len(leg))]
+    if corruption == "repeat a vertex":
+        i, j = pick(flat)
+        legs[pick(range(len(legs)))].append(legs[i][j])
+    elif corruption == "drop a vertex":
+        long_legs = [i for i, leg in enumerate(legs) if len(leg) > 1]
+        if long_legs:  # an empty leg is outside the oracle's domain
+            i = pick(long_legs)
+            del legs[i][pick(range(len(legs[i])))]
+    elif corruption in ("add vertex n", "add vertex -1"):
+        leg = legs[pick(range(len(legs)))]
+        leg.insert(pick((0, len(leg))), g.n if corruption == "add vertex n"
+                   else -1)
+    elif corruption == "swap two vertices":
+        (i, j), (k, m) = pick(flat), pick(flat)
+        legs[i][j], legs[k][m] = legs[k][m], legs[i][j]
+    elif corruption == "p one too small":
+        p = len(legs) - 1
+    elif corruption == "reverse a later leg" and len(legs) > 1:
+        legs[pick(range(1, len(legs)))].reverse()
+    witness = tuple(map(tuple, legs))
+    for rule in (False, True):
+        assert (check_legs_witness(g, witness, p, rule)
+                == sorted_legs_witness(g, witness, p, rule))
+    if corruption == "none":
+        assert check_legs_witness(g, witness, p, attached and r.is_yes)
 
 
 def test_long_prism_needs_no_recursion():
