@@ -8,7 +8,9 @@ import pytest
 
 from cubicml import cover, exact, hamsearch
 from cubicml.census import load_fixtures
-from cubicml.graph import Graph, GraphError, is_connected, parse_graph6
+from cubicml.generate import generate_cubic
+from cubicml.graph import (
+    Graph, GraphError, is_connected, parse_graph6, vertex_connectivity_capped)
 from cubicml.hamsearch import SearchBudget, Status, has_ham_path, has_leg_cover
 from cubicml.exact import (
     SpanningTree,
@@ -393,9 +395,6 @@ def test_ml_ladder_starts_above_mu(monkeypatch):
 def _answers_digest() -> str:
     """sha256 over each graph's connectivity and witnesses, for the 85
     cubic graphs of ``generate_cubic(12)`` and the 23 fixtures."""
-    from cubicml.generate import generate_cubic
-    from cubicml.graph import vertex_connectivity_capped
-
     graphs: list[Graph] = []
     generate_cubic(12, sink=graphs.append)
     graphs += [f.graph for f in load_fixtures()]

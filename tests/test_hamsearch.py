@@ -433,12 +433,14 @@ def test_witness_checker_matches_sorted_oracle(data, g, p, attached,
     # a witness of a real query, then at most one corruption; a swap puts a
     # step on a non-edge unless the two vertices' neighbours allow it, and
     # reversing a later leg may start it away from every earlier leg
+    def pick(seq):
+        return data.draw(st.sampled_from(seq))
+
     r = has_ham_path(g) if p == 1 else has_leg_cover(g, p, attached)
     if r.is_yes:
         legs = [list(r.witness)] if p == 1 else [list(leg) for leg in r.witness]
     else:  # one leg per vertex is a free cover
         legs, p = [[v] for v in range(g.n)], g.n
-    pick = lambda seq: data.draw(st.sampled_from(seq))  # noqa: E731
     flat = [(i, j) for i, leg in enumerate(legs) for j in range(len(leg))]
     if corruption == "repeat a vertex":
         i, j = pick(flat)
