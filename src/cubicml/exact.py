@@ -28,6 +28,7 @@ a tree with l leaves are paths covering V, so mu <= ml - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 from typing import Any, Callable
 
@@ -56,8 +57,8 @@ class SpanningTree:
 
     parent: tuple[int, ...]
 
-    @property
-    def leaf_count(self) -> int:
+    @cached_property
+    def leaf_count(self) -> int:  # kept, not a field: ==, hash, repr skip it
         """Vertices of degree 1 in the tree, a root with one child too."""
         degree = [0] * len(self.parent)
         for v, p in enumerate(self.parent):
@@ -90,9 +91,8 @@ class SpanningTree:
 
     def validate(self, g: Graph) -> bool:
         """True iff every non-root parent edge is an edge of ``g``."""
-        return all(
-            p == v or g.has_edge(v, p) for v, p in enumerate(self.parent)
-        )
+        adj = g.adj
+        return all(p == v or adj[v] >> p & 1 for v, p in enumerate(self.parent))
 
 
 @dataclass(frozen=True)

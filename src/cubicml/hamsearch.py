@@ -26,9 +26,10 @@ the same child order and a smaller end mask, so it only prunes more; a
 skipped start would have failed there too.  Status and witness are
 therefore the orbit-free driver's, reached in no more nodes.  The orbits
 come from ``isomorphism.canonical_steps``, stepped after each failed start
-by as many units (n per colour refinement) as that start's search took
-nodes.  So the labeling costs at most the search's nodes plus one
-refinement, and a search cut by its budget has not waited for it.  A
+by as many units (n per colour refinement) as that start's search would
+take nodes without the dead-state table below.  So the labeling costs at
+most the table-free search's nodes plus one refinement, and a search cut
+by its budget has not waited for it.  A
 labeling that finished comes back as ``SearchResult.labeling`` (else
 None), so a caller that needs the canonical form need not label again.
 
@@ -92,33 +93,36 @@ key reaches from its parent's rest by one xor; a leg key puts rest above
 cur, in ``n.bit_length()`` bits each.  Until a search has recorded
 something, it looks nothing up.
 
-The anchored driver keeps one table over its starts.  Each start's end mask
+A path state's value is its subtree size without the table.  Each frame
+counts the nodes it expands plus the stored size of each state it skips
+(``_Engine.credit`` sums those), and that count pays the labeling.  The
+anchored driver keeps one table over its starts.  Each start's end mask
 ``choices & ~done`` lies inside the one before, and a search under a smaller
 end mask is the same tree with more kills and fewer accepted leaves, so a
-state dead under one end mask is dead under every later one.  The driver
-skips nothing until the orbits are known, so until then it takes the nodes,
-and pays the labeling the units, that it would take without the table; from
-then on each start has the end mask it would have without the table.
-Child order is unchanged and only exhausted subtrees are skipped, so every
-query expands a subsequence of the nodes the table-free search expands: the
-same status and witness, never more nodes, and INDETERMINATE only where the
-table-free search is.  A NO is still the end of an exhaustive search.  (A
-table that skipped from the first start could pay the labeling less per
-start and so learn the orbits one start later: at the same threshold it
-refuted ``nontraceable_28_c2_09`` in 2,992 nodes against 2,982 without the
-table.)
+state dead under one end mask is dead under every later one, though its
+subtree there may be smaller.  So until the orbits are known, each start
+records into and skips from a table of its own, merged into the query's
+table once the start fails.  Every state it skips was then refuted under
+its own end mask, and by induction on the order of recording each stored
+size is exact: the start counts the nodes the table-free start takes, the
+labeling finishes after the same start, and each start has the end mask
+it would have without the table.  From then on the starts share the
+table, and the sizes pay nothing.  Child order is unchanged and only
+exhausted subtrees are skipped, so every query expands a subsequence of
+the nodes the table-free search expands: the same status and witness,
+never more nodes, and INDETERMINATE only where the table-free search is.
+A NO is still the end of an exhaustive search.
 
-A state is recorded only when at least ``_DEAD_MIN`` = 64 nodes were
-expanded below it, because few recorded states are ever met again (367 of
-12,918 over the 19 fixture refutations) and each costs memory until its
-query ends.  Over one ``verify_paper_artifacts`` pass the table holds 3.4
-entries per 100 expanded nodes, at most 2,234 in one query: a dict of 74 KB
-plus 71 KB of keys.  A threshold of 32 cut the fixture refutations from
-452,644 to 359,014 nodes (64: 383,261), but its largest table held 4,358
-keys, and with a set for the table a perfbench ``verify-paper`` run read
-1.4 % more peak RSS than without one (0.7 % at 64).  The table is a dict
-with None values, not a set, because CPython grows a set fourfold and a
-dict threefold: at 2,234 keys the dict takes 74 KB and a set 131 KB.
+A state is recorded only when at least ``_DEAD_MIN`` = 16 nodes, expanded
+or credited, lie below it, because few recorded states are ever met again
+(2,483 of 50,201 over the 19 fixture refutations) and each costs memory
+until its query ends.  Over one ``verify_paper_artifacts`` pass the table
+holds 16 entries per 100 expanded nodes, at most 8,531 in one query: a
+dict of 288 KB plus 267 KB of keys and 16 KB of sizes above 256 (smaller
+ones are shared).  The fixture refutations took 292,115 nodes at a
+threshold of 0, 309,435 at 16, 339,638 at 32 and 371,211 at 64, whose
+largest tables held 31,360, 8,531, 4,984 and 2,435 keys; 452,644 without
+the table.  A leg state's value is None.
 
 ``has_ham_path`` keeps its last 16 answers (``functools.lru_cache``),
 keyed by the graph and the budget.  The engine is deterministic, so a kept
@@ -196,7 +200,7 @@ def check_path_witness(g: Graph, path: tuple[int, ...]) -> bool:
     return check_legs_witness(g, (path,), 1, False)
 
 
-_DEAD_MIN = 64  # nodes below a refuted state before the table keeps it
+_DEAD_MIN = 16  # nodes below a refuted state before the table keeps it
 
 
 class _Engine:
@@ -205,8 +209,9 @@ class _Engine:
         self.full = g.full_mask()
         self.max_nodes = budget.max_nodes
         self.nodes = 0
-        self.dead: dict[int, None] = {}  # keys of refuted states
-        self.skip = self.dead  # the keys a search skips
+        self.credit = 0  # nodes the skipped path states would have taken
+        # refuted states; a path state's value is its table-free subtree size
+        self.dead: dict[int, int | None] = {}
         self.labeling: CanonicalData | None = None  # once it has finished
 
     def anchored(self, choices: int,
@@ -216,13 +221,14 @@ class _Engine:
         each s in ascending order and t only outside ``done``: the starts
         tried so far and, once ``labeling`` has finished, their orbits.
         After each failed start the labeling is stepped by as many units as
-        that start's search took nodes.  The searches record dead states
-        from the first start but skip them only once the orbits are known
-        (see the module docstring)."""
+        that start's search would take nodes without the table.  Until the
+        labeling has finished, each start records into a table of its own,
+        merged into the query's table once the start fails (see the module
+        docstring)."""
         done = 0
         classes: list[int] | None = None  # orbit masks, once labelled
-        credit = 0
-        self.skip = {}  # nothing until the orbits are known
+        owed = 0
+        kept = self.dead
         for s in bits(choices):
             if done >> s & 1:
                 continue
@@ -230,19 +236,22 @@ class _Engine:
             end_mask = choices & ~done
             if not end_mask:
                 break
-            before = self.nodes
+            before = self.nodes + self.credit
+            if classes is None:
+                self.dead = {}
             w = self.search([s], end_mask)
             if w is not None:
                 return w
             if classes is None:
-                credit += self.nodes - before
+                kept.update(self.dead)
+                owed += self.nodes + self.credit - before
                 try:
-                    while credit > 0:
-                        credit -= next(labeling)
+                    while owed > 0:
+                        owed -= next(labeling)
                 except StopIteration as stop:
                     self.labeling = stop.value
                     classes = _orbit_masks(stop.value.orbit)
-                    self.skip = self.dead
+                    self.dead = kept
             if classes is not None:
                 for c in classes:
                     if c & done:
@@ -259,14 +268,15 @@ class _Engine:
         low-degree vertices once, before the root; every node then only
         looks around the vertex just added (see the module docstring).
         Callers pass one vertex of a connected graph as ``path``.  Each
-        frame keeps the node count at its expansion, so that a frame popped
-        after ``_DEAD_MIN`` more nodes is recorded.
+        frame keeps the count of nodes and credit at its expansion, so that
+        a frame popped after ``_DEAD_MIN`` more is recorded with its
+        table-free subtree size, which a skip of it credits.
         """
         adj = self.adj
         max_nodes = self.max_nodes
         nodes = self.nodes
+        credit = self.credit
         dead = self.dead
-        skip = self.skip
         dead_min = _DEAD_MIN
         n = len(adj)
         # rest ^ flip[v] moves v from rest to a one-hot field above it
@@ -280,7 +290,7 @@ class _Engine:
         while True:
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
-                self.nodes = nodes
+                self.nodes, self.credit = nodes, credit
                 raise _BudgetExhausted
             cur_adj = adj[cur]
             nb = cur_adj & rest
@@ -288,7 +298,7 @@ class _Engine:
             if not rest & (rest - 1):  # single vertex left
                 if nb & end_mask:
                     path.append(rest.bit_length() - 1)
-                    self.nodes = nodes
+                    self.nodes, self.credit = nodes, credit
                     return tuple(path)
             elif rest & end_mask:
                 # Residual degrees fall only around cur: refresh low there
@@ -335,7 +345,7 @@ class _Engine:
                         unseen ^= frontier
                 kids.sort()
             if kids:
-                stack.append((rest, low, nodes, iter(kids)))
+                stack.append((rest, low, nodes + credit, iter(kids)))
             else:
                 path.pop()
             while stack:
@@ -343,16 +353,18 @@ class _Engine:
                 kid = next(it, None)
                 if kid is None:
                     stack.pop()
-                    if nodes - start >= dead_min:
-                        dead[rest | 1 << n + path.pop()] = None
+                    below = nodes + credit - start
+                    if below >= dead_min:
+                        dead[rest | 1 << n + path.pop()] = below + 1
                     else:
                         path.pop()
                     continue
                 cur = kid[1]
-                if not skip or rest ^ flip[cur] not in skip:
+                if not dead or rest ^ flip[cur] not in dead:
                     break
+                credit += dead[rest ^ flip[cur]]
             else:
-                self.nodes = nodes
+                self.nodes, self.credit = nodes, credit
                 return None
             path.append(cur)
             b = 1 << cur

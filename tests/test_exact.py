@@ -1,7 +1,10 @@
 """Exact spanning-tree counting/enumeration, minimum leaf number, path covers."""
 
+import dataclasses
 import hashlib
+import pickle
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -97,6 +100,35 @@ def test_spanning_tree_leaf_counts():
     # a path rooted at one end has 2 leaves even though the root has degree 1
     t = SpanningTree.from_edges(3, [(0, 1), (1, 2)])
     assert t.leaf_count == 2
+
+
+def test_leaf_count_matches_a_degree_count():
+    # random parent arrays, rooted anywhere, n = 1 (no leaf) included
+    rng = random.Random(33)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        order = rng.sample(range(n), n)
+        parent = list(range(n))
+        for i in range(1, n):
+            parent[order[i]] = order[rng.randrange(i)]
+        t = SpanningTree(tuple(parent))
+        degree = Counter(v for edge in tree_edges(t) for v in edge)
+        assert t.leaf_count == list(degree.values()).count(1)
+
+
+def test_leaf_count_is_kept_but_not_a_field():
+    assert "leaf_count" not in {
+        f.name for f in dataclasses.fields(SpanningTree)}
+    for t, want in ((SpanningTree((0,)), 0),
+                    (SpanningTree.from_edges(3, [(0, 1), (1, 2)]), 2),
+                    (SpanningTree.from_edges(4, [(0, 1), (1, 2), (1, 3)]), 3)):
+        fresh = SpanningTree(t.parent)
+        assert t.leaf_count == want and "leaf_count" in vars(t)
+        assert t == fresh and hash(t) == hash(fresh)
+        assert repr(t) == repr(fresh)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == fresh and back.leaf_count == want
+        assert pickle.loads(pickle.dumps(fresh)) == t
 
 
 def test_count_known_values():
@@ -257,16 +289,18 @@ def test_mu_of_gadget_caterpillars_within_budget(leaves):
 def test_two_leg_refutation_of_gadget_caterpillars_pinned(leaves):
     # pinned, like the single-path search trees: a change to the leg
     # search's pruning or child order shows up here
-    # 3,543 nodes before the dead-state table
+    # 3,543 nodes before the dead-state table, 518 while it kept only
+    # subtrees of at least 64 nodes
     r = has_leg_cover(gadget_caterpillar(leaves), 2)
-    assert r.status is Status.NO and r.nodes == 518
+    assert r.status is Status.NO and r.nodes == 180
 
 
 def test_deep_ml_refutation_of_a_gadget_caterpillar_pinned():
     # ml(T_6) <= 5 as five attached legs: 653,959 nodes before the
-    # dead-state table
+    # dead-state table, 70,903 while it kept only subtrees of at least 64
+    # nodes
     r = has_leg_cover(gadget_caterpillar(6), 4, True)
-    assert r.status is Status.NO and r.nodes == 70_903
+    assert r.status is Status.NO and r.nodes == 28_484
 
 
 def test_ml_and_mu_of_t7_within_budget():
@@ -276,6 +310,15 @@ def test_ml_and_mu_of_t7_within_budget():
     assert ml.status is Status.YES and ml.value == 7
     assert ml.tree.validate(g) and ml.tree.leaf_count == 7
     assert path_cover_number(g).value == 4
+
+
+def test_ml_of_t8_within_budget():
+    # INDETERMINATE at 2M nodes while the table kept only subtrees of at
+    # least 64 nodes
+    g = gadget_caterpillar(8)
+    ml = min_leaf_number(g, SearchBudget(2_000_000))
+    assert ml.status is Status.YES and ml.value == 8
+    assert ml.tree.validate(g) and ml.tree.leaf_count == 8
 
 
 def test_bridged_long_prisms_need_no_recursion():

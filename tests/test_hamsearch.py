@@ -24,6 +24,7 @@ from cubicml.graph import (
 from cubicml.hamsearch import (
     UNLIMITED,
     SearchBudget,
+    SearchResult,
     Status,
     check_legs_witness,
     check_path_witness,
@@ -306,13 +307,14 @@ def test_search_tree_pinned_on_refutation():
     g = next(f.graph for f in load_fixtures("nontraceable_30_conn3")
              if f.id == "nontraceable_30_c3_01")
     r = has_ham_path(g)
-    # 16,508 nodes before the dead-state table
-    assert r.status is Status.NO and r.nodes == 14_866
+    # 16,508 nodes before the dead-state table, 14,866 while it skipped
+    # nothing until the orbits were known
+    assert r.status is Status.NO and r.nodes == 11_618
     # the same answer again, kept in the cache or searched afresh
     assert has_ham_path(g) == r
-    assert has_ham_path(g, SearchBudget(14_866)) == r
-    cut = has_ham_path(g, SearchBudget(14_865))
-    assert cut.status is Status.INDETERMINATE and cut.nodes == 14_866
+    assert has_ham_path(g, SearchBudget(11_618)) == r
+    cut = has_ham_path(g, SearchBudget(11_617))
+    assert cut.status is Status.INDETERMINATE and cut.nodes == 11_618
 
 
 def test_fixed_start_refutations_pinned():
@@ -325,7 +327,9 @@ def test_fixed_start_refutations_pinned():
                 r = has_ham_path_from(f.graph, v)
                 assert r.status is Status.NO
                 nodes.append(r.nodes)
-    assert nodes == [43] * 4 + [383] * 2 + [351] * 2 + [175] * 2
+    # [383] * 2 in the second pair while the table kept only subtrees of
+    # at least 64 nodes
+    assert nodes == [43] * 4 + [347] * 2 + [351] * 2 + [175] * 2
 
 
 def test_search_tree_pinned_beyond_64_vertices():
@@ -350,8 +354,10 @@ def test_fixture_refutations_pinned():
     results = [has_ham_path(f.graph) for f in load_fixtures()
                if not f.traceable]
     assert len(results) == 19 and all(r.is_no for r in results)
-    # 452,644 nodes before the dead-state table
-    assert sum(r.nodes for r in results) == 383_261
+    # 452,644 nodes before the dead-state table, 383,261 while it skipped
+    # nothing until the orbits were known and kept only subtrees of at
+    # least 64 nodes
+    assert sum(r.nodes for r in results) == 309_435
 
 
 @pytest.mark.parametrize("query, nodes, witness", [
@@ -603,20 +609,46 @@ def _count_labeling(monkeypatch) -> list[int]:
 
 
 def test_labeling_is_paid_for_by_search_nodes(monkeypatch):
+    # each start pays the labeling the nodes it would take without the
+    # table: those it expands, plus the table-free subtree size of each
+    # state it skips.  So an unbudgeted query steps the labeling exactly as
+    # far as the table-free search does, and a cut one at most one
+    # refinement past its expanded and credited nodes.
     units = _count_labeling(monkeypatch)
+    engines: list[hamsearch._Engine] = []
+
+    class Kept(hamsearch._Engine):
+        def __init__(self, g, budget):
+            super().__init__(g, budget)
+            engines.append(self)
+
+    monkeypatch.setattr(hamsearch, "_Engine", Kept)
+
+    def paid(g, budget) -> tuple[SearchResult, int, int]:
+        """A fresh query's result, labeling units and credited nodes."""
+        units.clear()
+        engines.clear()
+        r = _fresh(has_ham_path, g, budget)
+        return r, sum(units), engines[0].credit if engines else 0
+
     g = bridged_prisms()
-    r = has_ham_path(g, SearchBudget(20_000))
+    r, spent, credit = paid(g, SearchBudget(20_000))
     assert r.status is Status.INDETERMINATE and r.nodes == 20_001
-    assert 0 < sum(units) <= r.nodes + g.n
+    assert 0 < spent <= r.nodes + credit + g.n
     rng = random.Random(16)
     graphs = [f.graph for f in load_fixtures()]
     graphs += [random_connected_graph(rng, rng.randint(3, 10), 0.3)
                for _ in range(100)]
+    credited = 0
     for g in graphs:
-        for budget in (SearchBudget(), SearchBudget(500)):
-            units.clear()
-            r = has_ham_path(g, budget)
-            assert sum(units) <= r.nodes + g.n
+        r, spent, credit = paid(g, UNLIMITED)
+        units.clear()
+        table_free(has_ham_path, g, UNLIMITED)
+        assert spent == sum(units)
+        credited += credit
+        r, spent, credit = paid(g, SearchBudget(500))
+        assert spent <= r.nodes + credit + g.n
+    assert credited  # some skip was paid for
 
 
 def test_result_carries_the_finished_labeling():
