@@ -641,7 +641,7 @@ def test_labeling_is_paid_for_by_search_nodes(monkeypatch):
                for _ in range(100)]
     credited = 0
     for g in graphs:
-        r, spent, credit = paid(g, UNLIMITED)
+        _, spent, credit = paid(g, UNLIMITED)
         units.clear()
         table_free(has_ham_path, g, UNLIMITED)
         assert spent == sum(units)
