@@ -35,6 +35,7 @@ from cubicml.hamsearch import (
 )
 from cubicml.constructions import (
     cycle_of_edge_deleted_petersen, jcell_ring, named_graph)
+from cubicml.generate import generate_cubic
 from cubicml.isomorphism import canonical_data
 from conftest import (
     bridged_prisms, gadget_caterpillar, prism, random_connected_graph,
@@ -267,11 +268,14 @@ def test_quadruple_conditions_reject_plain_cycle():
     assert is_jcell(cycle(8), 0, 1, 2, 3) != 0
 
 
-_BROKEN_WITNESS_CHECK = """
+_UNDER_O = """
 import cubicml.hamsearch as hs
 from cubicml.graph import Graph, WitnessError
 if __debug__:
     raise SystemExit("not running under -O")
+"""
+
+_BROKEN_WITNESS_CHECK = _UNDER_O + """
 hs.check_path_witness = lambda g, path: False
 hs.check_legs_witness = lambda g, legs, p, attached: False
 star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -285,15 +289,35 @@ for query in (lambda: hs.has_ham_path(Graph.from_edges(3, [(0, 1), (1, 2)])),
     raise SystemExit("invalid witness returned")
 """
 
+# a rotation stage that lists the vertices in order: on the 4-cycle
+# 0-1-3-2 that steps from 1 to 2, which is no edge
+_BROKEN_STAGE = _UNDER_O + """
+hs._Engine.rotations = lambda self: tuple(range(len(self.adj)))
+try:
+    hs.has_ham_path(Graph.from_edges(4, [(0, 1), (1, 3), (3, 2), (2, 0)]))
+except WitnessError:
+    raise SystemExit(0)
+raise SystemExit("invalid witness returned")
+"""
 
-def test_witness_check_survives_optimize_flag():
+
+def _run_optimized(script: str) -> None:
+    """Run ``script`` under ``python -O`` on this package; it must exit 0."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cubicml.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_WITNESS_CHECK],
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_witness_check_survives_optimize_flag():
+    _run_optimized(_BROKEN_WITNESS_CHECK)
+
+
+def test_stage_witness_check_survives_optimize_flag():
+    _run_optimized(_BROKEN_STAGE)
 
 
 # The search tree is part of the contract: node counts and witnesses below
@@ -307,14 +331,15 @@ def test_search_tree_pinned_on_refutation():
     g = next(f.graph for f in load_fixtures("nontraceable_30_conn3")
              if f.id == "nontraceable_30_c3_01")
     r = has_ham_path(g)
-    # 16,508 nodes before the dead-state table, 14,866 while it skipped
-    # nothing until the orbits were known
-    assert r.status is Status.NO and r.nodes == 11_618
+    # 261 steps of the failed rotation stage, then 11,618 anchored nodes;
+    # 16,508 anchored nodes before the dead-state table, 14,866 while it
+    # skipped nothing until the orbits were known
+    assert r.status is Status.NO and r.nodes == 11_879
     # the same answer again, kept in the cache or searched afresh
     assert has_ham_path(g) == r
-    assert has_ham_path(g, SearchBudget(11_618)) == r
-    cut = has_ham_path(g, SearchBudget(11_617))
-    assert cut.status is Status.INDETERMINATE and cut.nodes == 11_618
+    assert has_ham_path(g, SearchBudget(11_879)) == r
+    cut = has_ham_path(g, SearchBudget(11_878))
+    assert cut.status is Status.INDETERMINATE and cut.nodes == 11_879
 
 
 def test_fixed_start_refutations_pinned():
@@ -354,16 +379,21 @@ def test_fixture_refutations_pinned():
     results = [has_ham_path(f.graph) for f in load_fixtures()
                if not f.traceable]
     assert len(results) == 19 and all(r.is_no for r in results)
-    # 452,644 nodes before the dead-state table, 383,261 while it skipped
-    # nothing until the orbits were known and kept only subtrees of at
-    # least 64 nodes
-    assert sum(r.nodes for r in results) == 309_435
+    # 4,847 steps of the failed rotation stages, then 309,435 anchored
+    # nodes; 452,644 anchored nodes before the dead-state table, 383,261
+    # while it skipped nothing until the orbits were known and kept only
+    # subtrees of at least 64 nodes
+    assert sum(r.nodes for r in results) == 314_282
 
 
 @pytest.mark.parametrize("query, nodes, witness", [
-    (lambda g: has_ham_path(g), 771,
-     (0, 9, 16, 20, 5, 11, 24, 27, 4, 17, 28, 10, 25, 31, 22, 6, 7, 13, 3,
-      1, 2, 15, 19, 14, 8, 23, 30, 29, 18, 21, 12, 26)),
+    # 31 extensions and one reversal of the rotation stage; the anchored
+    # driver took 771 nodes to (0, 9, 16, 20, 5, 11, 24, 27, 4, 17, 28,
+    # 10, 25, 31, 22, 6, 7, 13, 3, 1, 2, 15, 19, 14, 8, 23, 30, 29, 18, 21,
+    # 12, 26)
+    (lambda g: has_ham_path(g), 32,
+     (25, 31, 22, 6, 7, 13, 10, 28, 27, 24, 11, 12, 21, 18, 29, 30, 23, 8,
+      14, 19, 3, 1, 2, 15, 17, 4, 5, 20, 16, 9, 0, 26)),
     (lambda g: has_ham_cycle(g), 522,
      (0, 9, 16, 20, 5, 11, 24, 27, 4, 17, 28, 10, 25, 31, 22, 6, 7, 13, 3,
       1, 2, 15, 19, 14, 8, 23, 30, 29, 18, 21, 12, 26)),
@@ -493,6 +523,16 @@ def _fresh(query, g, budget):
         return query(g, budget)
 
 
+def anchored_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
+    """``has_ham_path`` searched afresh with the rotation stage off, so the
+    anchored driver alone answers, YES included."""
+    with mock.patch.object(hamsearch._Engine, "rotations", lambda self: None):
+        return hamsearch._checked(g, ("path",), _UNCACHED_PATH(g, budget))
+
+
+_UNCACHED_PATH = hamsearch._ham_path.__wrapped__
+
+
 @settings(max_examples=150, deadline=None)
 @given(g=small_graphs(min_n=3),
        budgets=st.lists(st.one_of(st.none(), st.integers(0, 80)),
@@ -548,17 +588,17 @@ def test_fixed_end_witness_is_checked(monkeypatch):
 
 
 def _agrees_without_orbits(g: Graph, budgets=(0, 1, 2, 10, 100)) -> None:
-    """``has_ham_path`` finds the witness the orbit-free driver finds, or
-    refutes what it refutes, in no more nodes, under every budget."""
+    """The anchored driver finds the witness the orbit-free driver finds,
+    or refutes what it refutes, in no more nodes, under every budget."""
     ref = ham_path_without_orbits(g)
-    r = has_ham_path(g)
+    r = anchored_path(g)
     assert (r.status, r.witness) == (ref.status, ref.witness)
     assert r.nodes <= ref.nodes
     for max_nodes in {*budgets, ref.nodes // 2, r.nodes - 1}:
         if max_nodes < 0:
             continue
         budget = SearchBudget(max_nodes)
-        cut, ref_cut = has_ham_path(g, budget), ham_path_without_orbits(g, budget)
+        cut, ref_cut = anchored_path(g, budget), ham_path_without_orbits(g, budget)
         assert cut.nodes <= ref_cut.nodes
         if cut.status is Status.INDETERMINATE:
             assert ref_cut.status is Status.INDETERMINATE
@@ -628,7 +668,7 @@ def test_labeling_is_paid_for_by_search_nodes(monkeypatch):
         """A fresh query's result, labeling units and credited nodes."""
         units.clear()
         engines.clear()
-        r = _fresh(has_ham_path, g, budget)
+        r = anchored_path(g, budget)
         return r, sum(units), engines[0].credit if engines else 0
 
     g = bridged_prisms()
@@ -643,7 +683,7 @@ def test_labeling_is_paid_for_by_search_nodes(monkeypatch):
     for g in graphs:
         _, spent, credit = paid(g, UNLIMITED)
         units.clear()
-        table_free(has_ham_path, g, UNLIMITED)
+        table_free(anchored_path, g, UNLIMITED)
         assert spent == sum(units)
         credited += credit
         r, spent, credit = paid(g, SearchBudget(500))
@@ -663,12 +703,77 @@ def test_result_carries_the_finished_labeling():
             assert r == bare and hash(r) == hash(bare)
             assert repr(r) == repr(bare)
     # the labeling is stepped only after a failed start, so a path found
-    # from the first start, or a search cut at its root, carries none
+    # by the rotation stage, or a search cut inside it, carries none
     yes = has_ham_path(prism(5))
     assert yes.is_yes and yes.witness[0] == 0 and yes.labeling is None
     g = load_fixtures("nontraceable_28_conn3")[0].graph
     cut = has_ham_path(g, SearchBudget(max_nodes=5))
     assert cut.status is Status.INDETERMINATE and cut.labeling is None
+
+
+# --- the rotation stage ------------------------------------------------------
+
+
+def test_rotation_stage_finds_paths_on_cubic_graphs(monkeypatch):
+    # with the anchored driver gone, every cubic graph on 4 to 12 vertices
+    # and 200 random ones on 20 to 60 get a checked YES from the stage
+    # alone, within its n - 1 extensions and 8n turns
+    def anchored(self, choices, labeling):
+        raise AssertionError("the rotation stage failed")
+
+    monkeypatch.setattr(hamsearch._Engine, "anchored", anchored)
+    graphs: list[Graph] = []
+    for n in range(4, 13, 2):
+        generate_cubic(n, sink=graphs.append)
+    assert len(graphs) == 112
+    rng = random.Random(34)
+    graphs += [random_cubic_graph(rng, rng.randrange(20, 61, 2))
+               for _ in range(200)]
+    for g in graphs:
+        r = _fresh(has_ham_path, g, UNLIMITED)
+        assert r.is_yes and check_path_witness(g, r.witness)
+        assert g.n - 1 <= r.nodes < (hamsearch._TURNS + 1) * g.n
+
+
+def test_failed_stage_steps_pinned():
+    # the stage never answers NO: on each non-traceable fixture it gives up
+    # after 8n turns, and the anchored driver refutes, labelling the graph,
+    # exactly as it does alone, so the nodes shift by the stage's steps
+    steps = []
+    for f in load_fixtures():
+        if not f.traceable:
+            r, alone = has_ham_path(f.graph), anchored_path(f.graph)
+            assert r.is_no and alone.is_no, f.id
+            assert r.labeling == alone.labeling == canonical_data(f.graph)
+            steps.append(r.nodes - alone.nodes)
+    assert steps == [246, 246, 247, 246, 247, 247, 246, 246, 247, 249,
+                     261, 262, 266, 267, 267, 263, 263, 264, 267]
+
+
+def test_stage_witness_is_checked(monkeypatch):
+    # Petersen's vertices in order step from 4 to 5, which is no edge
+    monkeypatch.setattr(hamsearch._Engine, "rotations",
+                        lambda self: tuple(range(len(self.adj))))
+    with pytest.raises(WitnessError):
+        _fresh(has_ham_path, petersen(), UNLIMITED)
+
+
+def test_budget_cuts_the_stage():
+    # the stage's steps count against the budget as engine nodes do
+    g = random_cubic_graph(random.Random(35), 40)
+    r = has_ham_path(g)
+    assert r.is_yes and 39 <= r.nodes < 100
+    for max_nodes in (0, 1, 20, r.nodes - 1):
+        cut = has_ham_path(g, SearchBudget(max_nodes))
+        assert cut.status is Status.INDETERMINATE
+        assert cut.nodes == max_nodes + 1
+    assert has_ham_path(g, SearchBudget(r.nodes)) == r
+    # a failed stage takes 261 steps here, so this cut comes inside it
+    g = next(f.graph for f in load_fixtures("nontraceable_30_conn3")
+             if f.id == "nontraceable_30_c3_01")
+    cut = has_ham_path(g, SearchBudget(200))
+    assert cut.status is Status.INDETERMINATE and cut.nodes == 201
+    assert cut.labeling is None
 
 
 # --- the dead-state table ----------------------------------------------------
@@ -702,7 +807,7 @@ def test_leg_key_fields_are_decisive(monkeypatch, attached, line, status,
 
 
 _TABLE_QUERIES = {
-    "path": has_ham_path,
+    "path": anchored_path,
     "cycle": has_ham_cycle,
     "from 0": lambda g, b: has_ham_path_from(g, 0, b),
     "from last": lambda g, b: has_ham_path_from(g, g.n - 1, b),
