@@ -135,23 +135,23 @@ nearly linear time, where the anchored driver's backtracking is
 heavy-tailed.  The path starts at vertex 0, and its end extends to the
 unvisited neighbour with the fewest unvisited neighbours, the lowest on a
 tie.  A stuck end v_k with a neighbour v_j, j < k - 1, rotates the path to
-v_0 ... v_j v_k v_k-1 ... v_j+1, whose end is v_j+1.  A rotation whose new
-end has an unvisited neighbour is preferred, and a fixed xorshift sequence
-picks among the candidates, so every query turns alike.  When no rotation
-helps, the path is reversed; when the other end does not help either, a
-rotation is picked among all.  After ``_TURNS`` * n = 8n turns (rotations
-and reversals) the stage gives up, so it takes fewer than 9n steps.  Each
-extension and each turn is one node against the budget, so a cut inside
-the stage is INDETERMINATE like any other, and the steps do not pay the
-labeling.  When the stage gives up, the anchored driver runs unchanged
-with the budget that is left, and the result's nodes are the stage's
-steps plus the driver's.  A stage witness returns through ``_checked``
-like any other.  The stage found a path on all 2,340 random 2-connected
-cubic graphs of the ``analyze-stream`` seeds 1-4 (n 20-44), after a
-median of one turn and at most 170, and on every cubic graph of 4 to 14
-vertices; random cubic graphs of 500-600 vertices took at most 3n turns.
-It gives up on the 19 non-traceable fixtures after 4,847 steps in all,
-about 8 ms.
+v_0 ... v_j v_k v_{k-1} ... v_{j+1}, whose end is v_{j+1}.  A rotation
+whose new end has an unvisited neighbour is preferred, and a fixed xorshift
+sequence picks among the candidates, so a graph always gets the same path.
+When no rotation helps, the path is reversed; when the other end does not
+help either, a rotation is picked among all.  After ``_TURNS`` * n = 8n
+turns (rotations and reversals) the stage gives up, so it takes fewer than
+9n steps.  Each extension and each turn is one node against the budget, so
+a cut inside the stage is INDETERMINATE like any other, and the steps do
+not pay the labeling.  When the stage gives up, the anchored driver runs
+unchanged with the budget that is left, and the result's nodes are the
+stage's steps plus the driver's.  A stage witness returns through
+``_checked`` like any other.  The stage found a path on all 2,340 random
+2-connected cubic graphs of the ``analyze-stream`` seeds 1-4 (n 20-44),
+after a median of one turn and at most 170, and on every cubic graph of 4
+to 14 vertices; random cubic graphs of 500-600 vertices took at most 3n
+turns.  It gives up on the 19 non-traceable fixtures after 4,847 steps in
+all, about 8 ms.
 
 ``has_ham_path`` keeps its last 16 answers (``functools.lru_cache``),
 keyed by the graph and the budget.  The engine is deterministic, so a kept
