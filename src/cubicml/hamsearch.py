@@ -29,12 +29,13 @@ the same child order and a smaller end mask, so it only prunes more; a
 skipped start would have failed there too.  Status and witness are
 therefore the orbit-free driver's, reached in no more nodes.  The orbits
 come from ``isomorphism.canonical_steps``, stepped after each failed start
-by as many units (n per colour refinement) as that start's search would
-take nodes without the dead-state table below.  So the labeling costs at
-most the table-free search's nodes plus one refinement, and a search cut
-by its budget has not waited for it.  A
-labeling that finished comes back as ``SearchResult.labeling`` (else
-None), so a caller that needs the canonical form need not label again.
+until its units (n per colour refinement) cover the nodes the starts so far
+would take without the dead-state table below.  So it runs at most one
+refinement past the table-free nodes over n, though a refinement may sign
+many times n vertices (see ``canonical_steps``), and a search cut by its
+budget has not waited for it.  A labeling that finished comes back as
+``SearchResult.labeling`` (else None), so a caller that needs the
+canonical form need not label again.
 
 Pruning at every node (Rubin, JACM 1974; Vandegriend & Culberson, JAIR
 1998):
@@ -89,19 +90,19 @@ of the end mask.  A leg search's state is (rest, left, phase, u, a1, cur);
 ``low``, ``comps`` and ``reach`` are functions of rest.  A search records a
 state when it pops the state's node, and skips a child whose state is
 recorded.  Budgets count expanded nodes, so a skipped child costs none, and
-a budget cut unwinds the search without recording anything.  A key is one
-int, and no two states share a key for any n: a path key is rest with cur
-set as a one-hot field above it, ``rest | 1 << n + cur``, which a child's
-key reaches from its parent's rest by one xor; a leg key puts rest above
-(left, phase), packed in ``(3 p).bit_length()`` bits, and u, a1 + 1 and
-cur, in ``n.bit_length()`` bits each.  Until a search has recorded
-something, it looks nothing up.
+a budget cut unwinds the search without recording anything.  A leg key is
+the state tuple.  A path key is one int, rest with cur set as a one-hot
+field above it, ``rest | 1 << n + cur``, which a child's key reaches from
+its parent's rest by one xor, and which no two states share for any n.
+(rest, cur) tuples raised the ``verify-paper`` peak memory by 0.5 MB
+(about 2.8 %) and gained no time.  Until a search has recorded something,
+it looks nothing up.
 
 A path state's value is its subtree size without the table.  Each frame
 counts the nodes it expands plus the stored size of each state it skips
 (``_Engine.credit`` sums those), and that count pays the labeling.  The
 anchored driver keeps one table over its starts.  Each start's end mask
-``choices & ~done`` lies inside the one before, and a search under a smaller
+``full & ~done`` lies inside the one before, and a search under a smaller
 end mask is the same tree with more kills and fewer accepted leaves, so a
 state dead under one end mask is dead under every later one, though its
 subtree there may be smaller.  So until the orbits are known, each start
@@ -126,7 +127,10 @@ dict of 288 KB plus 267 KB of keys and 16 KB of sizes above 256 (smaller
 ones are shared).  The fixture refutations took 292,115 nodes at a
 threshold of 0, 309,435 at 16, 339,638 at 32 and 371,211 at 64, whose
 largest tables held 31,360, 8,531, 4,984 and 2,435 keys; 452,644 without
-the table.  A leg state's value is None.
+the table.  A leg state's value is None.  The ml ladder of the
+caterpillar of 8 gadgets (n = 46, 2M nodes) refutes 6 attached legs in
+1,488,790 nodes, leaving 108,361 keys, whose tuples cost about 57 bytes a
+key (6 MB of its 44 MB peak) more than packed ints.
 
 The rotation stage (``_Engine.rotations``) is Pósa's rotation-extension
 (Discrete Math. 14, 1976).  Almost all cubic graphs are hamiltonian
@@ -173,13 +177,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Generator, Iterator
+from typing import Callable, Iterator
 
 from .graph import (
     Graph,
     GraphError,
     bits,
-    mask_of,
     pieces,
     require_witness,
 )
@@ -237,41 +240,41 @@ _XORSHIFT_SEED = 2463534242  # picks among rotations, the same each query
 
 class _Engine:
     def __init__(self, g: Graph, budget: SearchBudget):
+        self.g = g
         self.adj = g.adj
         self.full = g.full_mask()
         self.max_nodes = budget.max_nodes
         self.nodes = 0
         self.credit = 0  # nodes the skipped path states would have taken
         # refuted states; a path state's value is its table-free subtree size
-        self.dead: dict[int, int | None] = {}
+        self.dead: dict[int | tuple, int | None] = {}
         self.labeling: CanonicalData | None = None  # once it has finished
 
-    def anchored(self, choices: int,
-                 labeling: Generator[int, None, CanonicalData]
-                 ) -> tuple[int, ...] | None:
-        """Hamiltonian path [s, ..., t] with s and t in ``choices``, trying
-        each s in ascending order and t only outside ``done``: the starts
-        tried so far and, once ``labeling`` has finished, their orbits.
-        After each failed start the labeling is stepped by as many units as
-        that start's search would take nodes without the table.  Until the
-        labeling has finished, each start records into a table of its own,
-        merged into the query's table once the start fails (see the module
+    def anchored(self) -> tuple[int, ...] | None:
+        """Hamiltonian path [s, ..., t], trying each start s in ascending
+        order and t only outside ``done``: the starts tried so far and, once
+        the graph's labeling has finished, their orbits.  After each failed
+        start the labeling is stepped by as many units as that start's
+        search would take nodes without the table.  Until the labeling has
+        finished, each start records into a table of its own, merged into
+        the query's table once the start fails (see the module
         docstring)."""
+        labeling = canonical_steps(self.g)
         done = 0
         classes: list[int] | None = None  # orbit masks, once labelled
         owed = 0
         kept = self.dead
-        for s in bits(choices):
+        for s in bits(self.full):
             if done >> s & 1:
                 continue
             done |= 1 << s
-            end_mask = choices & ~done
+            end_mask = self.full & ~done
             if not end_mask:
                 break
             before = self.nodes + self.credit
             if classes is None:
                 self.dead = {}
-            w = self.search([s], end_mask)
+            w = self.search(s, end_mask)
             if w is not None:
                 return w
             if classes is None:
@@ -346,20 +349,14 @@ class _Engine:
         self.nodes = nodes
         return tuple(path)
 
-    def search(self, path: list[int],
-               end_mask: int) -> tuple[int, ...] | None:
-        """Extend ``path`` to a hamiltonian path of ``full``, or None.
-
-        The path's vertices count as visited and its last vertex is where
-        the search stands.  The path ends in ``end_mask``, so a rest that
-        misses ``end_mask`` is dead.  The unvisited rest is scanned for
+    def search(self, start: int, end_mask: int) -> tuple[int, ...] | None:
+        """A hamiltonian path of the connected graph from ``start`` that
+        ends in ``end_mask``, or None.  The unvisited rest is scanned for
         low-degree vertices once, before the root; every node then only
         looks around the vertex just added (see the module docstring).
-        Callers pass one vertex of a connected graph as ``path``.  Each
-        frame keeps the count of nodes and credit at its expansion, so that
+        Each frame keeps the count of nodes and credit at its expansion, so
         a frame popped after ``_DEAD_MIN`` more is recorded with its
-        table-free subtree size, which a skip of it credits.
-        """
+        table-free subtree size, which a skip of it credits."""
         adj = self.adj
         max_nodes = self.max_nodes
         nodes = self.nodes
@@ -369,11 +366,12 @@ class _Engine:
         n = len(adj)
         # rest ^ flip[v] moves v from rest to a one-hot field above it
         flip = [1 << v | 1 << n + v for v in range(n)]
-        rest = self.full & ~mask_of(path)
+        rest = self.full ^ 1 << start
         if rest == 0:
-            return tuple(path)
+            return (start,)
         low = _low(adj, rest, rest)  # unvisited, residual degree <= 1
-        cur = path[-1]
+        cur = start
+        path = [start]
         stack: list[tuple[int, int, int, Iterator[tuple[int, int]]]] = []
         while True:
             nodes += 1
@@ -474,9 +472,6 @@ class _Engine:
         left, phase, u, cur, a1 = p - 1, 1, 0, 0, -1
         dead = self.dead
         dead_min = _DEAD_MIN
-        w = len(adj).bit_length()  # holds any of 0 .. n
-        # (left, phase, u, a1 + 1, cur) below rest, in this many bits
-        lbits = (3 * p).bit_length() + 3 * w
         trail = [0]
         stack: list[tuple] = []
         while True:
@@ -512,8 +507,7 @@ class _Engine:
                 if kid is None:
                     stack.pop()
                     if nodes - start >= dead_min:
-                        dead[_leg_key(rest, left, phase, u, a1, cur, w,
-                                      lbits)] = None
+                        dead[rest, left, phase, u, a1, cur] = None
                     continue
                 v = kid[1]
                 if v < 0:
@@ -529,8 +523,7 @@ class _Engine:
                         a1 = v
                     cur = v
                     rest ^= 1 << v
-                if not dead or _leg_key(rest, left, phase, u, a1, cur, w,
-                                        lbits) not in dead:
+                if not dead or (rest, left, phase, u, a1, cur) not in dead:
                     break
             else:
                 self.nodes = nodes
@@ -545,14 +538,6 @@ class _Engine:
             nb = adj[v] & rest
             low |= _low(adj, nb, rest)
             comps += pieces(adj, nb, rest) - 1
-
-
-def _leg_key(rest: int, left: int, phase: int, u: int, a1: int, cur: int,
-             w: int, lbits: int) -> int:
-    """One int for a leg search state: the small fields in ``lbits`` low
-    bits, each vertex number (and a1 + 1) in ``w`` bits, rest above."""
-    small = (((left * 3 + phase) << w | u) << w | a1 + 1) << w | cur
-    return rest << lbits | small
 
 
 def _orbit_masks(orbit: tuple[int, ...]) -> list[int]:
@@ -645,7 +630,7 @@ def has_ham_path_from(g: Graph, start: int,
     if not g.connected:
         return SearchResult(Status.NO)
     return _checked(g, ("from", start),
-                    _run(g, budget, lambda e: e.search([start], -1)))
+                    _run(g, budget, lambda e: e.search(start, -1)))
 
 
 def has_ham_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
@@ -672,8 +657,7 @@ def _ham_path(g: Graph, budget: SearchBudget) -> SearchResult:
         return SearchResult(Status.NO)
     if g.n <= 2:  # connected, so listed in order
         return SearchResult(Status.YES, tuple(range(g.n)))
-    return _run(g, budget, lambda e: e.rotations() or e.anchored(
-        g.full_mask(), canonical_steps(g)))
+    return _run(g, budget, lambda e: e.rotations() or e.anchored())
 
 
 def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
@@ -686,7 +670,7 @@ def has_ham_cycle(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
     if not g.connected:
         return SearchResult(Status.NO)
     return _checked(g, ("cycle",),
-                    _run(g, budget, lambda e: e.search([0], g.adj[0])))
+                    _run(g, budget, lambda e: e.search(0, g.adj[0])))
 
 
 def has_leg_cover(g: Graph, p: int, attached: bool = False,

@@ -59,26 +59,21 @@ class TableFreeEngine(_Engine):
     leg searches as they were before the table, so every state is searched
     as often as the search reaches it."""
 
-    def search(self, path: list[int],
-               end_mask: int) -> tuple[int, ...] | None:
-        """Extend ``path`` to a hamiltonian path of ``full``, or None.
-
-        The path's vertices count as visited and its last vertex is where
-        the search stands.  The path ends in ``end_mask``, so a rest that
-        misses ``end_mask`` is dead.  The unvisited rest is scanned for
+    def search(self, start: int, end_mask: int) -> tuple[int, ...] | None:
+        """A hamiltonian path of the connected graph from ``start`` that
+        ends in ``end_mask``, or None.  The unvisited rest is scanned for
         low-degree vertices once, before the root; every node then only
         looks around the vertex just added (see the ``hamsearch``
-        docstring).  Callers pass one vertex of a connected graph as
-        ``path``.
-        """
+        docstring)."""
         adj = self.adj
         max_nodes = self.max_nodes
         nodes = self.nodes
-        rest = self.full & ~mask_of(path)
+        rest = self.full ^ 1 << start
         if rest == 0:
-            return tuple(path)
+            return (start,)
         low = _low(adj, rest, rest)  # unvisited, residual degree <= 1
-        cur = path[-1]
+        cur = start
+        path = [start]
         stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
         while True:
             nodes += 1
@@ -258,7 +253,7 @@ def ham_path_without_orbits(g: Graph,
             end_mask = full >> s + 1 << s + 1
             if not end_mask:
                 return None
-            w = engine.search([s], end_mask)
+            w = engine.search(s, end_mask)
             if w is not None:
                 return w
         return None

@@ -8,7 +8,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import permutations
 from unittest import mock
 
 import pytest
@@ -375,6 +375,39 @@ def test_split_rest_kills_the_root():
     assert r.status is Status.NO and r.nodes == 1
 
 
+def test_one_and_two_vertex_graphs():
+    # a search whose start is the whole graph, or leaves one vertex, and a
+    # disconnected pair, which the path queries refute before any search
+    k1, k2 = Graph.from_edges(1, []), path_graph(2)
+    pair = Graph.from_edges(2, [])
+    answers = [
+        (has_ham_path(k1), Status.YES, (0,), 0),
+        (has_ham_path(k2), Status.YES, (0, 1), 0),
+        (has_ham_path(pair), Status.NO, None, 0),
+        (has_ham_path_from(k1, 0), Status.YES, (0,), 0),
+        (has_ham_path_from(k2, 0), Status.YES, (0, 1), 1),
+        (has_ham_path_from(k2, 1), Status.YES, (1, 0), 1),
+        (has_ham_path_from(pair, 0), Status.NO, None, 0),
+        (has_ham_path_from(pair, 1), Status.NO, None, 0),
+    ]
+    for attached in (False, True):
+        answers += [
+            (has_leg_cover(k1, 1, attached), Status.YES, ((0,),), 1),
+            (has_leg_cover(k1, 2, attached), Status.YES, ((0,),), 1),
+            (has_leg_cover(k2, 1, attached), Status.YES, ((0, 1),), 2),
+            (has_leg_cover(k2, 2, attached), Status.YES, ((0, 1),), 2),
+            (has_leg_cover(pair, 1, attached), Status.NO, None, 1),
+        ]
+    # a second leg may start anywhere, but an attached one only next to
+    # the first
+    answers += [
+        (has_leg_cover(pair, 2), Status.YES, ((0,), (1,)), 3),
+        (has_leg_cover(pair, 2, True), Status.NO, None, 2),
+    ]
+    for r, status, witness, nodes in answers:
+        assert (r.status, r.witness, r.nodes) == (status, witness, nodes)
+
+
 def test_fixture_refutations_pinned():
     results = [has_ham_path(f.graph) for f in load_fixtures()
                if not f.traceable]
@@ -538,12 +571,12 @@ def anchored_path(g: Graph, budget: SearchBudget = UNLIMITED) -> SearchResult:
        budgets=st.lists(st.one_of(st.none(), st.integers(0, 80)),
                         min_size=1, max_size=6))
 def test_memo_serves_what_a_fresh_search_returns(g, budgets):
-    # an unlimited search first, then each budget, small ones included
-    for query in (has_ham_path, has_ham_cycle, _QUERIES["free legs"],
-                  _QUERIES["attached legs"]):
-        for max_nodes in [None, *budgets]:
-            budget = SearchBudget(max_nodes)
-            assert query(g, budget) == _fresh(query, g, budget)
+    # an unlimited search first, then each budget, small ones included;
+    # the other kinds are not kept, so test_table_does_not_outlive_its_query
+    # repeats them
+    for max_nodes in [None, *budgets]:
+        budget = SearchBudget(max_nodes)
+        assert has_ham_path(g, budget) == _fresh(has_ham_path, g, budget)
 
 
 def test_memo_hit_checks_the_witness(monkeypatch):
@@ -577,7 +610,7 @@ def test_memo_is_bounded():
 def test_fixed_end_witness_is_checked(monkeypatch):
     # a hamiltonian path of P4, but from the wrong end
     monkeypatch.setattr(hamsearch._Engine, "search",
-                        lambda self, path, end_mask: (3, 2, 1, 0))
+                        lambda self, start, end_mask: (3, 2, 1, 0))
     g = path_graph(4)
     assert check_path_witness(g, (3, 2, 1, 0))
     with pytest.raises(WitnessError):
@@ -719,7 +752,7 @@ def test_rotation_stage_finds_paths_on_cubic_graphs(monkeypatch):
     # with the anchored driver gone, every cubic graph on 4 to 12 vertices
     # and 200 random ones on 20 to 60 get a checked YES from the stage
     # alone, within its n - 1 extensions and 8n turns
-    def anchored(self, choices, labeling):
+    def anchored(self):
         raise AssertionError("the rotation stage failed")
 
     monkeypatch.setattr(hamsearch._Engine, "anchored", anchored)
@@ -778,18 +811,6 @@ def test_budget_cuts_the_stage():
 
 
 # --- the dead-state table ----------------------------------------------------
-
-
-def test_leg_key_is_injective():
-    # every leg state of one query (fixed n and p) gets its own key, so a
-    # key without a1 or phase, or with a field too narrow, fails here
-    for n, p in product(range(1, 8), range(1, 4)):
-        w = n.bit_length()
-        lbits = (3 * p).bit_length() + 3 * w
-        states = list(product(range(1 << n), range(p), range(3), range(n),
-                              range(-1, n), range(n)))
-        keys = {hamsearch._leg_key(*state, w, lbits) for state in states}
-        assert len(keys) == len(states), (n, p)
 
 
 @pytest.mark.parametrize("attached", [False, True])
@@ -882,11 +903,15 @@ def test_table_agrees_with_table_free_beyond_64_vertices(monkeypatch,
 
 def test_table_does_not_outlive_its_query():
     # two identical queries past the caches search alike: a table kept
-    # between them would let the second skip what the first refuted
+    # between them would let the second skip what the first refuted.  Of
+    # these kinds only has_ham_path has a cache, so for the others this is
+    # also the check that a repeated query returns what the first did
     g = next(f.graph for f in load_fixtures("nontraceable_30_conn3")
              if f.id == "nontraceable_30_c3_01")
     t6 = gadget_caterpillar(6)
-    for query, h in ((has_ham_path, g),
+    for query, h in ((has_ham_path, g), (has_ham_cycle, g),
+                     (lambda h, b: has_ham_path_from(h, 0, b), g),
+                     (lambda h, b: has_leg_cover(h, 2, False, b), t6),
                      (lambda h, b: has_leg_cover(h, 4, True, b), t6)):
         first = _fresh(query, h, UNLIMITED)
         assert first.is_no and _fresh(query, h, UNLIMITED) == first
